@@ -9,9 +9,10 @@ Three paired libraries are built from a :class:`LibrarySpec`:
   constant entry becomes the pure ``u`` column);
 * output library: powers ``1, x_k, x_k^2, ...`` of the observed state.
 
-Every numeric matrix entry is produced by calling the corresponding
-symbolic entry's ``evaluate`` at the sample, so the symbolic and numeric
-views agree exactly.
+The numeric matrices come from :func:`sparsefl.symexpr.evaluate_columns`
+over all samples at once, which returns exactly what the symbolic entry's
+``evaluate`` returns at each sample, so the symbolic and numeric views
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import product as _cartesian
 import numpy as np
 
 from .data import Dataset
-from .symexpr import Expression, Term
+from .symexpr import Expression, Term, evaluate_columns
 
 __all__ = [
     "LibrarySpec",
@@ -152,18 +153,12 @@ def build_dictionaries(spec: LibrarySpec, d: Dataset) -> DictionarySet:
             stacklevel=2,
         )
 
-    theta_f = np.empty((d.m, p_x))
-    theta_g = np.empty((d.m, p_u))
-    phi = np.empty((d.m, len(phi_entries)))
-    for i in range(d.m):
-        xi = d.X[i]
-        ui = float(d.U[i])
-        for j, e in enumerate(f_entries):
-            theta_f[i, j] = e.evaluate(xi)
-        for j, e in enumerate(g_entries):
-            theta_g[i, j] = e.evaluate(xi, ui)
-        for j, e in enumerate(phi_entries):
-            phi[i, j] = e.evaluate(xi)
+    # one call, so the three libraries share their atom columns; the drift
+    # and output entries carry no u factor, so passing U changes none of them
+    values = evaluate_columns(f_entries + g_entries + phi_entries, d.X, d.U)
+    theta_f = values[:, :p_x].copy()
+    theta_g = values[:, p_x : p_x + p_u].copy()
+    phi = values[:, p_x + p_u :].copy()
     theta_f.setflags(write=False)
     theta_g.setflags(write=False)
     phi.setflags(write=False)
@@ -190,10 +185,4 @@ def gradient_dictionary(ds: DictionarySet) -> tuple[Expression, ...]:
 
 def evaluate_L_matrix(ds: DictionarySet, d: Dataset) -> np.ndarray:
     """Evaluate the gradient dictionary on every sample (m x p_y)."""
-    grad = gradient_dictionary(ds)
-    L = np.empty((d.m, len(grad)))
-    for i in range(d.m):
-        xi = d.X[i]
-        for j, e in enumerate(grad):
-            L[i, j] = e.evaluate(xi)
-    return L
+    return evaluate_columns(gradient_dictionary(ds), d.X)

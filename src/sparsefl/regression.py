@@ -28,7 +28,7 @@ import numpy as np
 from .data import Dataset
 from .dictionary import DictionarySet, evaluate_L_matrix
 from .dynamics import ControlAffineSystem
-from .symexpr import Expression
+from .symexpr import Expression, evaluate_columns
 
 __all__ = [
     "RegressionConfig",
@@ -262,9 +262,11 @@ def _null_space(C: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space of C (columns)."""
     if C.size == 0:
         return np.eye(C.shape[1])
-    u, s, vt = np.linalg.svd(C, full_matrices=True)
-    if s.size == 0:
-        return np.eye(C.shape[1])
+    # C = QR with R at most p x p: C and R share the null space and the
+    # singular values, so the SVD never sees the m sample rows. The rank
+    # tolerance keeps the shape of C.
+    r = np.linalg.qr(C, mode="r")
+    s, vt = np.linalg.svd(r, full_matrices=True)[1:]
     tol = max(C.shape) * np.finfo(float).eps * s[0]
     rank = int(np.sum(s > tol))
     return vt[rank:].T
@@ -411,13 +413,7 @@ class GeneralConstraint:
 
     def _gradient_samples(self, e: Expression) -> np.ndarray:
         """(m x n) values of the state gradient of ``e`` at every sample."""
-        grads = [e.partial(j) for j in range(self.n)]
-        out = np.empty((self.d.m, self.n))
-        for i in range(self.d.m):
-            xi = self.d.X[i]
-            for j in range(self.n):
-                out[i, j] = grads[j].evaluate(xi)
-        return out
+        return evaluate_columns([e.partial(j) for j in range(self.n)], self.d.X)
 
     def xi_hat_rows(self, zeta: np.ndarray, xi_tilde: np.ndarray) -> np.ndarray:
         """Constraint rows over the stacked input-channel coefficients.
@@ -607,20 +603,27 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
                     break
         else:
             gc = GeneralConstraint(ds, d, cfg.relative_degree)
+
+            def mode_rows(rows):
+                # aggregated: one row per chain level, the sum of its m sample rows
+                if cfg.constraint_mode == "aggregated":
+                    return rows.reshape(cfg.relative_degree - 1, m, -1).sum(axis=1)
+                return rows
+
+            big_a = np.kron(np.eye(n), theta)
+            big_z = np.concatenate([d.Xdot[:, l] for l in range(n)])
+            big_scale = np.tile(col_scale, n) if col_scale is not None else None
             for alt_iters in range(1, cfg.max_alt_iters + 1):
                 prev = np.concatenate([np.concatenate(W), zeta])
                 xi_tilde = np.column_stack([w[:p_x] for w in W])
                 # input-channel step: all states jointly, chain frozen at
                 # the current (zeta, xi_tilde)
-                rows = gc.xi_hat_rows(zeta, xi_tilde)
-                big_a = np.kron(np.eye(n), theta)
-                big_z = np.concatenate([d.Xdot[:, l] for l in range(n)])
+                rows = mode_rows(gc.xi_hat_rows(zeta, xi_tilde))
                 big_c = np.zeros((rows.shape[0], n * (p_x + p_u)))
                 for j in range(n):
                     big_c[:, j * (p_x + p_u) + p_x : (j + 1) * (p_x + p_u)] = rows[
                         :, j * p_u : (j + 1) * p_u
                     ]
-                big_scale = np.tile(col_scale, n) if col_scale is not None else None
                 w_all = _stls(
                     big_a, big_z, cfg.lam, cfg.max_outer_iters,
                     constraint=big_c, hard=hard, rho=rho,
@@ -629,7 +632,7 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
                 W = [w_all[j * (p_x + p_u) : (j + 1) * (p_x + p_u)] for j in range(n)]
                 xi_tilde = np.column_stack([w[:p_x] for w in W])
                 xi_hat = np.column_stack([w[p_x:] for w in W])
-                D = gc.zeta_rows(xi_tilde, xi_hat)
+                D = mode_rows(gc.zeta_rows(xi_tilde, xi_hat))
                 zeta = zeta_stls(constraint=D)
                 delta = np.max(np.abs(np.concatenate([np.concatenate(W), zeta]) - prev))
                 if delta < cfg.coef_tol:
@@ -695,7 +698,6 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
             else:
                 constraint_residual = abs(factors.aggregated_residual(zeta, xi_hat[:, k]))
         else:
-            gc = GeneralConstraint(ds, d, cfg.relative_degree)
             res = gc.residuals(zeta, xi_tilde, xi_hat)
             if cfg.constraint_mode == "per_sample":
                 constraint_residual = float(np.max(np.abs(res), initial=0.0))

@@ -17,6 +17,10 @@ identical term lists.
 
 Products of trig factors are kept as products of atoms; no product-to-sum
 rewriting is performed.
+
+:func:`evaluate_columns` evaluates many expressions on many samples at once
+and returns exactly the numbers that per-sample :meth:`Expression.evaluate`
+calls return, bit for bit (see its docstring for why that holds).
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 __all__ = [
     "Term",
     "Expression",
@@ -33,6 +39,7 @@ __all__ = [
     "mul",
     "partial",
     "evaluate",
+    "evaluate_columns",
     "is_zero",
     "format_expression",
     "parse_expression",
@@ -340,6 +347,74 @@ def evaluate(e: Expression, x: Sequence[float], u: float = 0.0) -> float:
 
 def is_zero(e: Expression, tol: float = 0.0) -> bool:
     return e.is_zero(tol)
+
+
+def evaluate_columns(
+    exprs: Sequence[Expression], X: np.ndarray, U: np.ndarray | None = None
+) -> np.ndarray:
+    """Evaluate ``exprs`` at every row of ``X`` (m x n) with input ``U`` (length m).
+
+    Returns an m x len(exprs) array whose column j equals
+    ``[exprs[j].evaluate(X[i], U[i]) for i in range(m)]`` bit for bit;
+    ``U=None`` means ``u = 0``, the default of :meth:`Expression.evaluate`.
+
+    Each distinct atom column (``x_i^p``, a trig atom, ``u^q``) is computed
+    once per call, element by element with the same scalar operations
+    :meth:`Term.evaluate` uses (``v ** p``, ``math.sin(freq * v)``). Vector
+    ``np.power``/``np.sin`` may round differently from the scalar libm calls,
+    so they are not used. Term columns are then formed by multiplying the
+    coefficient by the atom columns in :meth:`Term.evaluate`'s factor order,
+    and summed from zero in term order; elementwise IEEE multiply and add
+    round exactly as the scalar operations do.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"states must be an m x n array, got shape {X.shape}")
+    m, n = X.shape
+    U = np.zeros(m) if U is None else np.asarray(U, dtype=float)
+    if U.shape != (m,):
+        raise ValueError(f"input must have shape ({m},), got {U.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite state component")
+    if not np.all(np.isfinite(U)):
+        raise ValueError("non-finite input value")
+
+    xs = X.T.tolist()  # Python floats, as Term.evaluate sees them
+    us = U.tolist()
+    atoms: dict[tuple, np.ndarray] = {}
+
+    def atom(key: tuple) -> np.ndarray:
+        # key: ("x", i, p) for x_i^p, ("u", q) for u^q, or a trig atom
+        if key not in atoms:
+            if key[0] == "x":
+                _, i, p = key
+                values = [v**p for v in xs[i]]
+            elif key[0] == "u":
+                values = [v ** key[1] for v in us]
+            else:
+                kind, freq, var = key
+                fn = math.sin if kind == "sin" else math.cos
+                values = [fn(freq * v) for v in xs[var]]
+            atoms[key] = np.array(values)
+        return atoms[key]
+
+    out = np.empty((m, len(exprs)))
+    for j, e in enumerate(exprs):
+        if e.n_states != n:
+            raise ValueError(f"points have {n} components, expected {e.n_states}")
+        total = np.zeros(m)
+        for t in e.terms:
+            value = t.coefficient
+            for i, p in enumerate(t.monomial):
+                if p:
+                    value = value * atom(("x", i, p))
+            for trig in t.trig_atoms:
+                value = value * atom(trig)
+            if t.input_power:
+                value = value * atom(("u", t.input_power))
+            total += value
+        out[:, j] = total
+    return out
 
 
 # -- formatting ---------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import default_excitation
+from conftest import default_excitation, make_random_expression
 from sparsefl.data import Dataset
 from sparsefl.dictionary import LibrarySpec, build_dictionaries
 from sparsefl.dynamics import chain_integrator_system, integrate, vdp_system
@@ -210,6 +210,37 @@ def test_constrained_solve_matches_kkt_oracle():
         w_kkt = np.linalg.solve(kkt, rhs)[:p]
         assert np.linalg.norm(w - w_kkt) <= 1e-8 * max(1.0, np.linalg.norm(w_kkt))
         assert np.max(np.abs(C @ w)) <= 1e-10
+
+
+def test_null_space_of_tall_rank_deficient_constraint():
+    # the r = 2 per-sample shape: zero drift columns, then one input-library
+    # row scaled by a per-sample weight; one input column is a combination
+    # of two others, so the input block is rank-deficient
+    import tracemalloc
+
+    from sparsefl.regression import _null_space
+
+    rng = np.random.default_rng(5)
+    m, p_x, p_u = 4000, 29, 29
+    tg = rng.uniform(-2.0, 2.0, size=(m, p_u))
+    tg[:, -1] = tg[:, 0] + tg[:, 1]
+    C = np.zeros((m, p_x + p_u))
+    C[:, p_x:] = rng.uniform(-1.0, 1.0, size=m)[:, None] * tg
+    tracemalloc.start()
+    try:
+        N = _null_space(C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert N.shape == (p_x + p_u, p_x + 1)
+    assert np.allclose(N.T @ N, np.eye(N.shape[1]), atol=1e-12)
+    assert np.max(np.abs(C @ N)) <= 1e-12
+    s, vt = np.linalg.svd(C, full_matrices=False)[1:]
+    rank = int(np.sum(s > max(C.shape) * np.finfo(float).eps * s[0]))
+    N_svd = vt[rank:].T
+    assert np.allclose(N @ N.T, N_svd @ N_svd.T, atol=1e-12)
+    # an m x m factor alone would be 128 MB; the null space needs O(m p)
+    assert peak < 16 * 2**20
 
 
 def test_penalty_solve_approaches_hard_solution():
@@ -463,6 +494,19 @@ def test_general_constraint_true_vdp_residuals(vdp_dicts, vdp_data):
     assert bound.max_residual() <= 1e-10
 
 
+def test_general_constraint_gradient_samples_match_per_sample_loop():
+    from sparsefl.regression import GeneralConstraint
+
+    sys, d = chain3_data()
+    ds = build_dictionaries(LibrarySpec(poly_order=2, trig_orders=(1, 2)), d)
+    gc = GeneralConstraint(ds, d, 3)
+    rng = np.random.default_rng(2)
+    for e in [make_random_expression(rng, n_states=3, max_degree=5) for _ in range(10)]:
+        grads = [e.partial(j) for j in range(3)]
+        oracle = np.array([[g.evaluate(d.X[i]) for g in grads] for i in range(d.m)])
+        assert np.array_equal(gc._gradient_samples(e), oracle)
+
+
 def test_general_constraint_rejects_excess_degree(vdp_dicts, vdp_data):
     model = solve(vdp_dicts, vdp_data, RegressionConfig())
     with pytest.raises(ValueError, match="exceeds"):
@@ -498,7 +542,30 @@ def test_chain_integrator_r3_aggregated_mode():
         ds, d, RegressionConfig(relative_degree=3, constraint_mode="aggregated")
     )
     assert model.diagnostics.constraint_residual <= 1e-6
-    assert discovered_equations(model)[1] == "dx2/dt = x3"
+    assert discovered_equations(model) == [
+        "dx1/dt = x2", "dx2/dt = x3", "dx3/dt = u", "y = x1",
+    ]
+
+
+@pytest.mark.parametrize("mode, rows_per_level", [("aggregated", 1), ("per_sample", 200)])
+def test_chain_integrator_r3_constraint_rows_follow_mode(monkeypatch, mode, rows_per_level):
+    # aggregated enforces one summed row per chain level, per_sample one row
+    # per sample and level; both in the state step and the output step
+    import sparsefl.regression as regression
+
+    sys, d = chain3_data()
+    ds = build_dictionaries(LibrarySpec(poly_order=2, output_poly_order=3), d)
+    rows = []
+    inner = regression._constrained_solve
+
+    def spy(A, z, C, hard, rho):
+        if C is not None:
+            rows.append(C.shape[0])
+        return inner(A, z, C, hard, rho)
+
+    monkeypatch.setattr(regression, "_constrained_solve", spy)
+    solve(ds, d, RegressionConfig(relative_degree=3, constraint_mode=mode))
+    assert rows and set(rows) == {2 * rows_per_level}
 
 
 def test_chain_integrator_r3_hand_residuals():

@@ -14,6 +14,7 @@ from sparsefl.symexpr import (
     Expression,
     add,
     evaluate,
+    evaluate_columns,
     format_expression,
     is_zero,
     mul,
@@ -144,6 +145,19 @@ def test_evaluate_rejects_wrong_dimension():
         evaluate(x(0), [1.0, 2.0, 3.0])
 
 
+def test_evaluate_columns_rejects_bad_input():
+    X = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="expected 3"):
+        evaluate_columns([Expression.variable(0, 3)], X)
+    with pytest.raises(ValueError, match="shape"):
+        evaluate_columns([x(0)], X, np.zeros(2))
+    with pytest.raises(ValueError, match="non-finite"):
+        evaluate_columns([x(0)], np.array([[0.0, math.inf]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        evaluate_columns([Expression.input(2)], X, np.array([0.0, math.nan, 0.0]))
+    assert evaluate_columns([], X).shape == (3, 0)
+
+
 # -- is_zero ----------------------------------------------------------------------
 
 
@@ -251,6 +265,26 @@ def test_partial_matches_finite_differences(seed):
     fd = (e.evaluate(hi, u) - e.evaluate(lo, u)) / (2 * h)
     exact = d.evaluate(p, u)
     assert abs(exact - fd) <= 1e-6 * (1.0 + abs(exact)) + 1e-7
+
+
+@given(st.integers(0, 10_000), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_evaluate_columns_is_bitwise_evaluate(seed, n):
+    # powers up to 5, sin/cos at frequencies 1-2, input powers, multi-term
+    # sums: the column evaluator must return exactly the per-sample values
+    rng = np.random.default_rng(seed)
+    exprs = [
+        make_random_expression(
+            rng, n_states=n, max_terms=5, max_degree=5, max_trig_freq=2, max_input_power=3
+        )
+        for _ in range(4)
+    ]
+    X = rng.uniform(-3.0, 3.0, size=(25, n))
+    U = rng.uniform(-3.0, 3.0, size=25)
+    with_u = np.array([[e.evaluate(X[i], U[i]) for e in exprs] for i in range(25)])
+    without_u = np.array([[e.evaluate(X[i]) for e in exprs] for i in range(25)])
+    assert np.array_equal(evaluate_columns(exprs, X, U), with_u)
+    assert np.array_equal(evaluate_columns(exprs, X), without_u)
 
 
 def test_evaluation_is_deterministic():
