@@ -10,20 +10,13 @@ from .control import (
     ControllerSpec,
     ReferenceSignal,
     constant_reference,
-    evaluate_law,
     gains_from_poles,
     sinusoid_reference,
     synthesize,
     zero_reference,
 )
 from .data import Dataset, DatasetError, estimate_derivatives, load_csv, save_csv
-from .dictionary import (
-    DictionarySet,
-    LibrarySpec,
-    build_dictionaries,
-    evaluate_L_matrix,
-    gradient_dictionary,
-)
+from .dictionary import DictionarySet, LibrarySpec, build_dictionaries
 from .dynamics import (
     ControlAffineSystem,
     DivergenceError,
@@ -43,10 +36,6 @@ from .regression import (
     RegressionError,
     InfeasibleSparsityError,
     SparseModel,
-    StackedSystem,
-    build_constraint_M,
-    build_general_constraint,
-    build_stacked,
     solve,
     threshold_pass,
 )

@@ -30,7 +30,6 @@ __all__ = [
     "sinusoid_reference",
     "gains_from_poles",
     "synthesize",
-    "evaluate_law",
 ]
 
 _BETA_RUNTIME_TOL = 1e-9
@@ -262,8 +261,3 @@ def synthesize(
         poles=pole_record,
     )
 
-
-def evaluate_law(
-    spec: ControllerSpec, x: Sequence[float], reference: ReferenceSignal, t: float
-) -> float:
-    return spec.control_value(x, reference, t)

@@ -30,8 +30,6 @@ __all__ = [
     "LibrarySpec",
     "DictionarySet",
     "build_dictionaries",
-    "gradient_dictionary",
-    "evaluate_L_matrix",
 ]
 
 
@@ -173,16 +171,3 @@ def build_dictionaries(spec: LibrarySpec, d: Dataset) -> DictionarySet:
         phi=phi,
     )
 
-
-def gradient_dictionary(ds: DictionarySet) -> tuple[Expression, ...]:
-    """Entry-wise derivative of the output library w.r.t. the observed state.
-
-    For the standard monomial output library this is [0, 1, 2*x_k, 3*x_k^2, ...].
-    """
-    k = ds.spec.output_state_index
-    return tuple(e.partial(k) for e in ds.phi_entries)
-
-
-def evaluate_L_matrix(ds: DictionarySet, d: Dataset) -> np.ndarray:
-    """Evaluate the gradient dictionary on every sample (m x p_y)."""
-    return evaluate_columns(gradient_dictionary(ds), d.X)

@@ -1,34 +1,44 @@
-"""Stacked sparse regression with a bilinear relative-degree constraint.
+"""Stacked sparse regression with the relative-degree constraint.
 
 The joint problem couples the state regressions ``Xdot = [ThetaF ThetaG] W``
 with the output regression ``Y = Phi zeta`` and enforces that the
-reconstructed model has the requested relative degree: for every sample,
-the mixed Lie derivatives Lg Lf^k c (k = 0..r-2) of the reconstructed
-(c, f, g) must vanish on the data. For r = 2 this is the bilinear condition
-(zeta . L_row) * (ThetaG_row . xi_hat_k) = 0 on the output state's input
-channel.
+reconstructed model has the requested relative degree r: the mixed Lie
+derivatives Lg Lf^k c (k = 0..r-2) of the reconstructed (c, f, g) must
+vanish on the data. One chain constraint, :class:`GeneralConstraint`,
+builds these rows for every r >= 2, one per sample and level
+(``per_sample``) or one summed row per level (``aggregated``). At r = 2 it
+is the bilinear condition (dc/dx_k)(x_i) * g_k(x_i) u_i = 0.
 
 Sparsity is produced by sequential thresholded least squares: alternate an
 exact least-squares solve with hard-thresholding of coefficients below the
 threshold, shrinking the active set until it stabilizes. Constrained steps
 replace the plain solve with an equality-constrained solve via null-space
 elimination (or a quadratic penalty when ``solver_mode='penalty'``). The
-constraint is bilinear/multilinear in the coefficient blocks, so fixing all
-blocks but one keeps each step a convex problem; the solver alternates
-between the input-channel block(s) and the output coefficients.
+constraint is multilinear in the coefficient blocks, so fixing all blocks
+but one keeps each step a convex problem; the solver alternates between
+the input-channel (state) step and the output step.
+
+The state step jointly solves only the coupled states: those whose
+input-channel columns in the current constraint rows are not all zero.
+Every other state keeps its unconstrained initialization, which is what
+the block-diagonal joint solve would give it. At r = 2 with c = c(x_k)
+only state k is coupled; when no state is (a constant output, c = 1) the
+state step is skipped.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .data import Dataset
-from .dictionary import DictionarySet, evaluate_L_matrix
+from .dictionary import DictionarySet
 from .dynamics import ControlAffineSystem
-from .symexpr import Expression, evaluate_columns
+from .lie import lie_f
+from .symexpr import Expression, evaluate_columns, format_expression, parse_expression
 
 __all__ = [
     "RegressionConfig",
@@ -36,13 +46,8 @@ __all__ = [
     "InfeasibleSparsityError",
     "Diagnostics",
     "SparseModel",
-    "StackedSystem",
-    "ConstraintFactors",
     "ThresholdResult",
-    "build_stacked",
-    "build_constraint_M",
     "threshold_pass",
-    "build_general_constraint",
     "GeneralConstraint",
     "solve",
     "coefficient_table",
@@ -146,98 +151,6 @@ class SparseModel:
 
 
 @dataclass(frozen=True)
-class StackedSystem:
-    """Block-diagonal joint system: state blocks [ThetaF ThetaG] then Phi.
-
-    The coefficient layout is [xi_tilde_1, xi_hat_1, ..., xi_tilde_n,
-    xi_hat_n, zeta] and the target stacks the derivative columns followed
-    by the output.
-    """
-
-    a_joint: np.ndarray  # (n+1)m-ish: n*m + m rows, P columns
-    z_joint: np.ndarray
-    n: int
-    m: int
-    p_x: int
-    p_u: int
-    p_y: int
-
-    @property
-    def width(self) -> int:
-        return self.n * (self.p_x + self.p_u) + self.p_y
-
-    def pack(self, xi_tilde: np.ndarray, xi_hat: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-        parts = []
-        for l in range(self.n):
-            parts.append(xi_tilde[:, l])
-            parts.append(xi_hat[:, l])
-        parts.append(zeta)
-        return np.concatenate(parts)
-
-    def unpack(self, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        block = self.p_x + self.p_u
-        xi_tilde = np.empty((self.p_x, self.n))
-        xi_hat = np.empty((self.p_u, self.n))
-        for l in range(self.n):
-            start = l * block
-            xi_tilde[:, l] = eta[start : start + self.p_x]
-            xi_hat[:, l] = eta[start + self.p_x : start + block]
-        zeta = eta[self.n * block :]
-        return xi_tilde, xi_hat, zeta
-
-
-def build_stacked(ds: DictionarySet, d: Dataset) -> StackedSystem:
-    """Assemble the joint block-diagonal system from evaluated dictionaries."""
-    if d.Xdot is None:
-        raise RegressionError("dataset has no derivatives; estimate or measure Xdot first")
-    m, n = d.X.shape
-    p_x, p_u, p_y = ds.p_x, ds.p_u, ds.p_y
-    theta = np.hstack([ds.theta_f, ds.theta_g])
-    width = n * (p_x + p_u) + p_y
-    a = np.zeros((n * m + m, width))
-    z = np.empty(n * m + m)
-    block = p_x + p_u
-    for l in range(n):
-        a[l * m : (l + 1) * m, l * block : (l + 1) * block] = theta
-        z[l * m : (l + 1) * m] = d.Xdot[:, l]
-    a[n * m :, n * block :] = ds.phi
-    z[n * m :] = d.Y
-    return StackedSystem(a_joint=a, z_joint=z, n=n, m=m, p_x=p_x, p_u=p_u, p_y=p_y)
-
-
-@dataclass(frozen=True)
-class ConstraintFactors:
-    """Per-sample factors of the bilinear relative-degree condition.
-
-    For sample i the residual is (zeta . L[i]) * (Tg[i] . xi_hat_k); the
-    aggregated matrix M = L^T Tg collapses the sample index so the condition
-    reads zeta^T M xi_hat_k = 0.
-    """
-
-    M: np.ndarray  # p_y x p_u
-    L: np.ndarray  # m x p_y
-    Tg: np.ndarray  # m x p_u
-
-    def per_sample_residuals(self, zeta: np.ndarray, xi_hat_k: np.ndarray) -> np.ndarray:
-        return (self.L @ zeta) * (self.Tg @ xi_hat_k)
-
-    def aggregated_residual(self, zeta: np.ndarray, xi_hat_k: np.ndarray) -> float:
-        return float(zeta @ self.M @ xi_hat_k)
-
-
-def build_constraint_M(ds: DictionarySet, d: Dataset) -> ConstraintFactors:
-    """Evaluate the output-gradient / input-library product on the data."""
-    L = evaluate_L_matrix(ds, d)
-    Tg = np.asarray(ds.theta_g)
-    if np.max(np.abs(d.U)) == 0.0:
-        warnings.warn(
-            "input is identically zero; the relative-degree constraint is vacuous",
-            stacklevel=2,
-        )
-    return ConstraintFactors(M=L.T @ Tg, L=L, Tg=Tg)
-
-
-@dataclass(frozen=True)
 class ThresholdResult:
     values: np.ndarray
     active: np.ndarray  # boolean mask
@@ -300,7 +213,6 @@ def _constrained_solve(
 @dataclass
 class _StlsInfo:
     iterations: int = 0
-    emptied: bool = False
 
 
 def _stls(
@@ -345,7 +257,6 @@ def _stls(
         if result.infeasible:
             if np.max(np.abs(z), initial=0.0) <= 1e-12:
                 return np.zeros(p)
-            info.emptied = True
             raise InfeasibleSparsityError(
                 f"threshold {lam} removed every candidate for {what}; lower lambda"
             )
@@ -357,168 +268,171 @@ def _stls(
     )
 
 
-# -- generalized chain constraint ------------------------------------------------
+# -- relative-degree chain constraint ---------------------------------------------
+
+
+def _sum_terms(terms: list[np.ndarray], shape) -> np.ndarray:
+    """Left-to-right sum of ``terms``; a lone term is not added to zero."""
+    return reduce(np.add, terms) if terms else np.zeros(shape)
+
+
+def _combine(coeffs: np.ndarray, entries, n_states: int) -> Expression:
+    """sum_b coeffs[b] * entries[b] over the nonzero coefficients, in entry order."""
+    total = Expression.zero(n_states)
+    for w, entry in zip(coeffs, entries):
+        if w != 0.0:
+            total = total + float(w) * entry
+    return total
 
 
 class GeneralConstraint:
     """Relative-degree chain constraints Lg Lf^k c = 0, k = 0..r-2, on data.
 
-    The chain is rebuilt symbolically from whatever coefficients are passed
-    in, so each block-coordinate step of the solver sees a constraint that
-    is linear in its active block: freezing (zeta, xi_tilde) makes the rows
-    linear in the input-channel coefficients, and freezing (xi_tilde,
-    xi_hat) makes them linear in the output coefficients.
+    Level k at sample i reads sum_j d_j(Lf^k c)(x_i) * (Tg @ xi_hat)[i, j],
+    where column j of ``Tg @ xi_hat`` is g_j(x_i) u_i. Lf is linear, so
+    d_j(Lf^k c) = sum_a zeta_a d_j(Lf^k phi_a): the gradients of the
+    output-library entries' chains depend on xi_tilde alone, and the rows
+    are linear in the block each alternation step solves for: the
+    input-channel coefficients with (zeta, xi_tilde) frozen, the output
+    coefficients with (xi_tilde, xi_hat) frozen.
+
+    ``mode`` is ``per_sample`` (one row per sample and level) or
+    ``aggregated`` (one row per level, the sum of its sample rows; a level's
+    gradients are then kept summed against the input library, G^T Tg). The
+    level-0 gradients do not depend on the coefficients and are evaluated
+    here; the drift fields enter only for r > 2, and the higher levels are
+    re-evaluated only when xi_tilde changes.
     """
 
-    def __init__(self, ds: DictionarySet, d: Dataset, r: int):
+    def __init__(self, ds: DictionarySet, d: Dataset, r: int, mode: str = "per_sample"):
         n = d.n
         if r < 2:
             raise ValueError("the chain constraint needs relative_degree >= 2")
         if r > n:
             raise ValueError(f"relative_degree {r} exceeds state dimension {n}")
+        if mode not in ("per_sample", "aggregated"):
+            raise ValueError(f"unknown constraint mode {mode!r}")
         self.ds = ds
         self.d = d
         self.r = r
         self.n = n
+        self.mode = mode
+        self.tg = np.asarray(ds.theta_g)
+        self._has_input = self.tg.any(axis=1)
+        # per chain level k: {state j: d_j(Lf^k phi_a) at every sample, m x p_y}
+        self._levels = self._partials([list(ds.phi_entries)])
+        self._levels_key = None
 
-    # symbolic chain of Lf^k applied to an expression along f built from xi_tilde
-    def _drift_fields(self, xi_tilde: np.ndarray) -> list[Expression]:
-        n = self.n
-        fields = []
-        for j in range(n):
-            fj = Expression.zero(n)
-            for b, entry in enumerate(self.ds.theta_f_entries):
-                w = float(xi_tilde[b, j])
-                if w != 0.0:
-                    fj = fj + w * entry
-            fields.append(fj)
-        return fields
+    def _partials(self, rows: list[list[Expression]]) -> list[dict[int, np.ndarray]]:
+        """Per list of expressions, {state j: m x len(list) values of d_j e}.
 
-    def _output_map(self, zeta: np.ndarray) -> Expression:
-        c = Expression.zero(self.n)
-        for a, entry in enumerate(self.ds.phi_entries):
-            za = float(zeta[a])
-            if za != 0.0:
-                c = c + za * entry
-        return c
-
-    def _lie_chain(self, start: Expression, fields: list[Expression], depth: int) -> list[Expression]:
-        chain = [start]
-        for _ in range(depth):
-            nxt = Expression.zero(self.n)
-            for j in range(self.n):
-                nxt = nxt + chain[-1].partial(j) * fields[j]
-            chain.append(nxt)
-        return chain
-
-    def _gradient_samples(self, e: Expression) -> np.ndarray:
-        """(m x n) values of the state gradient of ``e`` at every sample."""
-        return evaluate_columns([e.partial(j) for j in range(self.n)], self.d.X)
-
-    def xi_hat_rows(self, zeta: np.ndarray, xi_tilde: np.ndarray) -> np.ndarray:
-        """Constraint rows over the stacked input-channel coefficients.
-
-        Returns ((r-1)*m) x (n*p_u); row (k, i) dotted with the stacked
-        [xi_hat_1; ...; xi_hat_n] gives the sample-i residual of chain
-        level k.
+        Only the states some expression of the list depends on appear. One
+        evaluation pass serves every list, so they share atom columns. In
+        aggregated mode each block is returned summed, as G^T Tg.
         """
-        fields = self._drift_fields(xi_tilde)
-        chain = self._lie_chain(self._output_map(zeta), fields, self.r - 2)
-        m, p_u = self.d.m, self.ds.p_u
-        rows = np.zeros(((self.r - 1) * m, self.n * p_u))
-        Tg = np.asarray(self.ds.theta_g)
-        for k in range(self.r - 1):
-            W = self._gradient_samples(chain[k])  # m x n
+        keys, parts = [], []
+        for k, row in enumerate(rows):
             for j in range(self.n):
-                rows[k * m : (k + 1) * m, j * p_u : (j + 1) * p_u] = W[:, [j]] * Tg
-        return rows
+                dj = [e.partial(j) for e in row]
+                if not all(p.is_zero() for p in dj):
+                    keys.append((k, j, len(parts), len(dj)))
+                    parts.extend(dj)
+        values = evaluate_columns(parts, self.d.X)
+        out: list[dict[int, np.ndarray]] = [{} for _ in rows]
+        for k, j, start, width in keys:
+            block = values[:, start : start + width]
+            out[k][j] = block.T @ self.tg if self.mode == "aggregated" else block
+        return out
+
+    def _entry_levels(self, xi_tilde: np.ndarray) -> list[dict[int, np.ndarray]]:
+        """The per-level gradient blocks of the output library along f(xi_tilde)."""
+        if self.r > 2 and xi_tilde.tobytes() != self._levels_key:
+            n, zero = self.n, Expression.zero(self.n)
+            f = [_combine(xi_tilde[:, j], self.ds.theta_f_entries, n) for j in range(n)]
+            drift = ControlAffineSystem(f=f, g=[zero] * n, c=zero, n=n)
+            chain = [list(self.ds.phi_entries)]
+            for _ in range(self.r - 2):
+                chain.append([lie_f(e, drift) for e in chain[-1]])
+            self._levels = self._levels[:1] + self._partials(chain[1:])
+            self._levels_key = xi_tilde.tobytes()
+        return self._levels
+
+    def state_rows(self, zeta: np.ndarray, xi_tilde: np.ndarray) -> tuple[list[int], np.ndarray]:
+        """Constraint rows over the coupled states' [xi_tilde_j; xi_hat_j] blocks.
+
+        A state is coupled when its input-channel columns are not all zero.
+        Returns the coupled states in order and the rows, one block of
+        p_x + p_u columns per coupled state, drift columns zero:
+        ((r-1)*m) rows per sample, (r-1) aggregated.
+        """
+        levels = self._entry_levels(xi_tilde)
+        m, p_x, p_u = self.d.m, self.ds.p_x, self.ds.p_u
+        if self.mode == "per_sample":
+            # per level and state: the sample weights d_j(Lf^k c)(x_i)
+            parts = [{j: G @ zeta for j, G in level.items()} for level in levels]
+            height, live = m, lambda w: w[self._has_input].any()
+        else:
+            parts = [{j: zeta @ S for j, S in level.items()} for level in levels]
+            height, live = 1, np.any
+        coupled = [j for j in range(self.n) if any(j in part and live(part[j]) for part in parts)]
+        block = p_x + p_u
+        C = np.zeros((len(parts) * height, len(coupled) * block))
+        for s, j in enumerate(coupled):
+            for k, part in enumerate(parts):
+                if j in part:
+                    rows = C[k * height : (k + 1) * height, s * block + p_x : (s + 1) * block]
+                    if self.mode == "aggregated":
+                        rows[0] = part[j]
+                    else:
+                        np.multiply(part[j][:, None], self.tg, out=rows)
+        return coupled, C
 
     def zeta_rows(self, xi_tilde: np.ndarray, xi_hat: np.ndarray) -> np.ndarray:
-        """Constraint rows over the output coefficients: ((r-1)*m) x p_y."""
-        fields = self._drift_fields(xi_tilde)
-        Tg = np.asarray(self.ds.theta_g)
-        gsamples = Tg @ xi_hat  # m x n, u-scaled input channel per state
-        m, p_y = self.d.m, self.ds.p_y
-        rows = np.zeros(((self.r - 1) * m, p_y))
-        for a, entry in enumerate(self.ds.phi_entries):
-            chain = self._lie_chain(entry, fields, self.r - 2)
-            for k in range(self.r - 1):
-                W = self._gradient_samples(chain[k])  # m x n
-                rows[k * m : (k + 1) * m, a] = np.sum(W * gsamples, axis=1)
-        return rows
+        """Constraint rows over the output coefficients.
+
+        ((r-1)*m) x p_y per sample, (r-1) x p_y aggregated.
+        """
+        levels = self._entry_levels(xi_tilde)
+        p_y = self.ds.p_y
+        if self.mode == "aggregated":
+            return np.array([
+                _sum_terms([S @ xi_hat[:, j] for j, S in level.items()], p_y)
+                for level in levels
+            ])
+        g = {j: self.tg @ xi_hat[:, j] for j in range(self.n)}
+        return np.vstack([
+            _sum_terms([g[j][:, None] * G for j, G in level.items()], (self.d.m, p_y))
+            for level in levels
+        ])
 
     def residuals(self, zeta: np.ndarray, xi_tilde: np.ndarray, xi_hat: np.ndarray) -> np.ndarray:
-        """((r-1) x m) per-sample residuals of every chain level."""
-        rows = self.xi_hat_rows(zeta, xi_tilde)
-        stacked = np.concatenate([xi_hat[:, j] for j in range(self.n)])
-        flat = rows @ stacked
-        return flat.reshape(self.r - 1, self.d.m)
-
-
-class _BoundGeneralConstraint:
-    """A GeneralConstraint with coefficients plugged in."""
-
-    def __init__(self, gc: GeneralConstraint, zeta, xi_tilde, xi_hat):
-        self._gc = gc
-        self.zeta = np.asarray(zeta, dtype=float)
-        self.xi_tilde = np.asarray(xi_tilde, dtype=float)
-        self.xi_hat = np.asarray(xi_hat, dtype=float)
-
-    def residuals(self) -> np.ndarray:
-        return self._gc.residuals(self.zeta, self.xi_tilde, self.xi_hat)
-
-    def max_residual(self) -> float:
-        return float(np.max(np.abs(self.residuals()), initial=0.0))
-
-
-def build_general_constraint(model, ds: DictionarySet, d: Dataset, r: int) -> _BoundGeneralConstraint:
-    """Bind the chain-constraint evaluator to a model in progress.
-
-    ``model`` must expose ``zeta``, ``xi_tilde``, ``xi_hat`` (a SparseModel
-    or any workalike). For r = 2 the residuals coincide with the
-    per-sample factors of :func:`build_constraint_M`.
-    """
-    gc = GeneralConstraint(ds, d, r)
-    return _BoundGeneralConstraint(gc, model.zeta, model.xi_tilde, model.xi_hat)
+        """Residual of every chain level: (r-1) x m per sample, (r-1) aggregated."""
+        levels = self._entry_levels(xi_tilde)
+        if self.mode == "aggregated":
+            return np.array([
+                _sum_terms([(zeta @ S) @ xi_hat[:, j] for j, S in level.items()], ())
+                for level in levels
+            ])
+        g = {j: self.tg @ xi_hat[:, j] for j in range(self.n)}
+        return np.array([
+            _sum_terms([(G @ zeta) * g[j] for j, G in level.items()], self.d.m)
+            for level in levels
+        ])
 
 
 # -- main solver ----------------------------------------------------------------
 
 
-def _embed_constraint(C_block: np.ndarray, p_x: int, p_u: int) -> np.ndarray:
-    """Place input-channel constraint columns into a [xi_tilde; xi_hat] layout."""
-    rows = C_block.shape[0]
-    full = np.zeros((rows, p_x + p_u))
-    full[:, p_x:] = C_block
-    return full
-
-
 def _reconstruct(
     ds: DictionarySet, xi_tilde: np.ndarray, xi_hat: np.ndarray, zeta: np.ndarray
 ) -> tuple[tuple[Expression, ...], tuple[Expression, ...], Expression]:
-    n = xi_tilde.shape[1]
-    n_states = ds.n_states
-    f_list = []
-    g_list = []
-    for l in range(n):
-        fl = Expression.zero(n_states)
-        for b, entry in enumerate(ds.theta_f_entries):
-            w = float(xi_tilde[b, l])
-            if w != 0.0:
-                fl = fl + w * entry
-        gl = Expression.zero(n_states)
-        for b, entry in enumerate(ds.theta_g_entries):
-            w = float(xi_hat[b, l])
-            if w != 0.0:
-                gl = gl + w * entry.strip_input()
-        f_list.append(fl)
-        g_list.append(gl)
-    c = Expression.zero(n_states)
-    for a, entry in enumerate(ds.phi_entries):
-        za = float(zeta[a])
-        if za != 0.0:
-            c = c + za * entry
-    return tuple(f_list), tuple(g_list), c
+    n = ds.n_states
+    f = tuple(_combine(xi_tilde[:, l], ds.theta_f_entries, n) for l in range(xi_tilde.shape[1]))
+    g = tuple(
+        _combine(xi_hat[:, l], ds.theta_g_entries, n).strip_input()
+        for l in range(xi_hat.shape[1])
+    )
+    return f, g, _combine(zeta, ds.phi_entries, n)
 
 
 def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
@@ -535,30 +449,28 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     """
     if d.Xdot is None:
         raise RegressionError("dataset has no derivatives; estimate or measure Xdot first")
-    m, n = d.X.shape
-    p_x, p_u, p_y = ds.p_x, ds.p_u, ds.p_y
-    k = ds.spec.output_state_index
+    n = d.n
+    if cfg.constraint_enabled and cfg.relative_degree > n:
+        raise RegressionError(
+            f"relative_degree {cfg.relative_degree} exceeds the state dimension {n}"
+        )
+    p_x, p_u = ds.p_x, ds.p_u
+    block = p_x + p_u
     theta = np.hstack([ds.theta_f, ds.theta_g])
     hard = cfg.solver_mode == "alternating_constrained"
     rho = cfg.penalty_weight
     notes: list[str] = []
     info = _StlsInfo()
 
-    col_scale = None
-    if ds.spec.normalize_columns:
-        col_scale = np.linalg.norm(theta, axis=0)
-        col_scale[col_scale == 0.0] = 1.0
-    phi_scale = None
-    if ds.spec.normalize_columns:
-        phi_scale = np.linalg.norm(ds.phi, axis=0)
-        phi_scale[phi_scale == 0.0] = 1.0
+    def unit_scale(a):
+        """Column norms that condition each solve (1 for a zero column)."""
+        if not ds.spec.normalize_columns:
+            return None
+        scale = np.linalg.norm(a, axis=0)
+        scale[scale == 0.0] = 1.0
+        return scale
 
-    def state_stls(z, constraint=None):
-        return _stls(
-            theta, z, cfg.lam, cfg.max_outer_iters,
-            constraint=constraint, hard=hard, rho=rho,
-            column_scale=col_scale, info=info, what="a state equation",
-        )
+    col_scale, phi_scale = unit_scale(theta), unit_scale(ds.phi)
 
     def zeta_stls(constraint=None):
         return _stls(
@@ -567,77 +479,58 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
             column_scale=phi_scale, info=info, what="the output equation",
         )
 
+    joint: dict[tuple[int, ...], tuple] = {}
+
+    def states_stls(states, constraint):
+        """STLS of the given states' equations as one block-diagonal system."""
+        key = tuple(states)
+        if key not in joint:
+            joint[key] = (
+                np.kron(np.eye(len(states)), theta) if len(states) > 1 else theta,
+                np.concatenate([d.Xdot[:, j] for j in states]),
+                None if col_scale is None else np.tile(col_scale, len(states)),
+            )
+        a, z, scale = joint[key]
+        w = _stls(
+            a, z, cfg.lam, cfg.max_outer_iters,
+            constraint=constraint, hard=hard, rho=rho,
+            column_scale=scale, info=info,
+            what="state equation " + ", ".join(f"dx{j + 1}/dt" for j in states),
+        )
+        return [w[s * block : (s + 1) * block] for s in range(len(states))]
+
     # unconstrained initialization
     zeta = zeta_stls()
-    W = [state_stls(d.Xdot[:, l]) for l in range(n)]
+    W_init = [states_stls([l], None)[0] for l in range(n)]
+    W = list(W_init)
     alt_iters = 0
     converged = True
     constraint_residual: float | None = None
 
     if cfg.constraint_enabled:
         converged = False
-        if cfg.relative_degree > 2 and np.max(np.abs(d.U)) == 0.0:
+        if np.max(np.abs(d.U)) == 0.0:
             warnings.warn(
                 "input is identically zero; the relative-degree constraint is vacuous",
                 stacklevel=2,
             )
-        if cfg.relative_degree == 2:
-            factors = build_constraint_M(ds, d)
-            for alt_iters in range(1, cfg.max_alt_iters + 1):
-                prev = np.concatenate([np.concatenate(W), zeta])
-                a_weights = factors.L @ zeta
-                if cfg.constraint_mode == "per_sample":
-                    C = a_weights[:, None] * factors.Tg
-                else:
-                    C = (zeta @ factors.M)[None, :]
-                W[k] = state_stls(d.Xdot[:, k], constraint=_embed_constraint(C, p_x, p_u))
-                b_weights = factors.Tg @ W[k][p_x:]
-                if cfg.constraint_mode == "per_sample":
-                    D = b_weights[:, None] * factors.L
-                else:
-                    D = (factors.M @ W[k][p_x:])[None, :]
-                zeta = zeta_stls(constraint=D)
-                delta = np.max(np.abs(np.concatenate([np.concatenate(W), zeta]) - prev))
-                if delta < cfg.coef_tol:
-                    converged = True
-                    break
-        else:
-            gc = GeneralConstraint(ds, d, cfg.relative_degree)
-
-            def mode_rows(rows):
-                # aggregated: one row per chain level, the sum of its m sample rows
-                if cfg.constraint_mode == "aggregated":
-                    return rows.reshape(cfg.relative_degree - 1, m, -1).sum(axis=1)
-                return rows
-
-            big_a = np.kron(np.eye(n), theta)
-            big_z = np.concatenate([d.Xdot[:, l] for l in range(n)])
-            big_scale = np.tile(col_scale, n) if col_scale is not None else None
-            for alt_iters in range(1, cfg.max_alt_iters + 1):
-                prev = np.concatenate([np.concatenate(W), zeta])
-                xi_tilde = np.column_stack([w[:p_x] for w in W])
-                # input-channel step: all states jointly, chain frozen at
-                # the current (zeta, xi_tilde)
-                rows = mode_rows(gc.xi_hat_rows(zeta, xi_tilde))
-                big_c = np.zeros((rows.shape[0], n * (p_x + p_u)))
-                for j in range(n):
-                    big_c[:, j * (p_x + p_u) + p_x : (j + 1) * (p_x + p_u)] = rows[
-                        :, j * p_u : (j + 1) * p_u
-                    ]
-                w_all = _stls(
-                    big_a, big_z, cfg.lam, cfg.max_outer_iters,
-                    constraint=big_c, hard=hard, rho=rho,
-                    column_scale=big_scale, info=info, what="the state equations",
-                )
-                W = [w_all[j * (p_x + p_u) : (j + 1) * (p_x + p_u)] for j in range(n)]
-                xi_tilde = np.column_stack([w[:p_x] for w in W])
-                xi_hat = np.column_stack([w[p_x:] for w in W])
-                D = mode_rows(gc.zeta_rows(xi_tilde, xi_hat))
-                zeta = zeta_stls(constraint=D)
-                delta = np.max(np.abs(np.concatenate([np.concatenate(W), zeta]) - prev))
-                if delta < cfg.coef_tol:
-                    converged = True
-                    break
+        gc = GeneralConstraint(ds, d, cfg.relative_degree, cfg.constraint_mode)
+        for alt_iters in range(1, cfg.max_alt_iters + 1):
+            prev = np.concatenate([np.concatenate(W), zeta])
+            # state step: the coupled states jointly, chain frozen at the
+            # current (zeta, xi_tilde); the others keep their initialization
+            states, C = gc.state_rows(zeta, np.column_stack([w[:p_x] for w in W]))
+            W = list(W_init)
+            if states:
+                for j, w in zip(states, states_stls(states, C)):
+                    W[j] = w
+            xi_tilde = np.column_stack([w[:p_x] for w in W])
+            xi_hat = np.column_stack([w[p_x:] for w in W])
+            zeta = zeta_stls(constraint=gc.zeta_rows(xi_tilde, xi_hat))
+            delta = np.max(np.abs(np.concatenate([np.concatenate(W), zeta]) - prev))
+            if delta < cfg.coef_tol:
+                converged = True
+                break
 
     xi_tilde = np.column_stack([w[:p_x] for w in W])
     xi_hat = np.column_stack([w[p_x:] for w in W])
@@ -690,19 +583,8 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     )
     output_residual = float(np.linalg.norm(ds.phi @ zeta - d.Y))
     if cfg.constraint_enabled:
-        if cfg.relative_degree == 2:
-            if cfg.constraint_mode == "per_sample":
-                constraint_residual = float(
-                    np.max(np.abs(factors.per_sample_residuals(zeta, xi_hat[:, k])))
-                )
-            else:
-                constraint_residual = abs(factors.aggregated_residual(zeta, xi_hat[:, k]))
-        else:
-            res = gc.residuals(zeta, xi_tilde, xi_hat)
-            if cfg.constraint_mode == "per_sample":
-                constraint_residual = float(np.max(np.abs(res), initial=0.0))
-            else:
-                constraint_residual = float(np.max(np.abs(res.sum(axis=1)), initial=0.0))
+        res = gc.residuals(zeta, xi_tilde, xi_hat)
+        constraint_residual = float(np.max(np.abs(res), initial=0.0))
 
     diagnostics = Diagnostics(
         state_residuals=state_residuals,
@@ -797,11 +679,9 @@ def format_coefficient_table(model: SparseModel, digits: int = 4) -> str:
 
 def discovered_equations(model: SparseModel, digits: int | None = 4) -> list[str]:
     """Human-readable model equations after thresholding."""
-    from .symexpr import Expression as _E, format_expression
-
     lines = []
     n_states = model.c.n_states
-    u = _E.input(n_states)
+    u = Expression.input(n_states)
     for l in range(model.n):
         rhs = model.f[l] + model.g[l] * u
         lines.append(f"dx{l + 1}/dt = {format_expression(rhs, digits=digits)}")
@@ -840,8 +720,6 @@ def model_to_dict(model: SparseModel) -> dict:
 
 def model_from_dict(payload: dict) -> SparseModel:
     """Rebuild a SparseModel (without evaluated dictionaries) from JSON data."""
-    from .symexpr import parse_expression
-
     n_states = int(payload["n_states"])
     f = tuple(parse_expression(s, n_states) for s in payload["f"])
     g = tuple(parse_expression(s, n_states) for s in payload["g"])

@@ -35,12 +35,7 @@ import numpy as np
 __all__ = [
     "Term",
     "Expression",
-    "add",
-    "mul",
-    "partial",
-    "evaluate",
     "evaluate_columns",
-    "is_zero",
     "format_expression",
     "parse_expression",
 ]
@@ -324,29 +319,6 @@ class Expression:
 
     def __repr__(self) -> str:
         return f"Expression({format_expression(self)!r}, n_states={self.n_states})"
-
-
-# -- module-level operation aliases ------------------------------------------
-
-
-def add(a: Expression, b: Expression) -> Expression:
-    return a + b
-
-
-def mul(a: Expression, b: Expression) -> Expression:
-    return a * b
-
-
-def partial(e: Expression, index: int) -> Expression:
-    return e.partial(index)
-
-
-def evaluate(e: Expression, x: Sequence[float], u: float = 0.0) -> float:
-    return e.evaluate(x, u)
-
-
-def is_zero(e: Expression, tol: float = 0.0) -> bool:
-    return e.is_zero(tol)
 
 
 def evaluate_columns(

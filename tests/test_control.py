@@ -11,7 +11,6 @@ from sparsefl.control import (
     ControllerSpec,
     ControlSingularityError,
     constant_reference,
-    evaluate_law,
     gains_from_poles,
     sinusoid_reference,
     synthesize,
@@ -167,7 +166,6 @@ def test_law_hand_value_sine_reference(exact_chain):
     # at the origin with r = sin t at t = 0: only 4*(rdot - x2) = 4 survives
     ref = sinusoid_reference(1.0, 1.0, 0.0)
     assert spec.control_value([0.0, 0.0], ref, 0.0) == pytest.approx(4.0)
-    assert evaluate_law(spec, [0.0, 0.0], ref, 0.0) == pytest.approx(4.0)
 
 
 def test_law_singularity_guard():

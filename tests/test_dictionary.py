@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 
 from sparsefl.data import Dataset
-from sparsefl.dictionary import (
-    LibrarySpec,
-    build_dictionaries,
-    evaluate_L_matrix,
-    gradient_dictionary,
-)
+from sparsefl.dictionary import LibrarySpec, build_dictionaries
+from sparsefl.symexpr import evaluate_columns
 
 def dataset_from_states(X, U=None, seed=0):
     X = np.asarray(X, dtype=float)
@@ -124,18 +120,24 @@ def test_underdetermined_warning():
         build_dictionaries(LibrarySpec(poly_order=3), random_dataset(m=5))
 
 
-# -- gradient dictionary -------------------------------------------------------------------
+# -- output-library gradient -----------------------------------------------------------------
+
+
+def output_gradient(ds):
+    """Each output-library entry differentiated along the observed state."""
+    k = ds.spec.output_state_index
+    return [e.partial(k) for e in ds.phi_entries]
 
 
 def test_gradient_dictionary_monomial_ladder():
     ds = build_dictionaries(LibrarySpec(output_poly_order=3), random_dataset())
-    grad = gradient_dictionary(ds)
+    grad = output_gradient(ds)
     assert [str(e) for e in grad] == ["0", "1", "2*x1", "3*x1^2"]
 
 
 def test_gradient_dictionary_constant_only():
     ds = build_dictionaries(LibrarySpec(output_poly_order=0), random_dataset())
-    grad = gradient_dictionary(ds)
+    grad = output_gradient(ds)
     assert [str(e) for e in grad] == ["0"]
 
 
@@ -143,7 +145,7 @@ def test_gradient_dictionary_constant_only():
 def test_gradient_values_at_two():
     d = dataset_from_states([[2.0, 0.0], [2.0, 0.0]])
     ds = build_dictionaries(LibrarySpec(output_poly_order=3), d)
-    L = evaluate_L_matrix(ds, d)
+    L = evaluate_columns(output_gradient(ds), d.X)
     assert L[0].tolist() == [0.0, 1.0, 4.0, 12.0]
 
 
@@ -151,14 +153,14 @@ def test_gradient_values_at_two():
 def test_gradient_values_zero_trajectory():
     d = dataset_from_states([[0.0, 0.0], [0.0, 0.0]])
     ds = build_dictionaries(LibrarySpec(output_poly_order=3), d)
-    L = evaluate_L_matrix(ds, d)
+    L = evaluate_columns(output_gradient(ds), d.X)
     assert L[0].tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_L_matrix_matches_entrywise_evaluation():
     d = random_dataset(m=100, seed=11)
     ds = build_dictionaries(LibrarySpec(output_poly_order=5), d)
-    grad = gradient_dictionary(ds)
-    L = evaluate_L_matrix(ds, d)
+    grad = output_gradient(ds)
+    L = evaluate_columns(grad, d.X)
     oracle = np.array([[e.evaluate(d.X[i]) for e in grad] for i in range(d.m)])
     assert np.array_equal(L, oracle)

@@ -1,4 +1,4 @@
-"""Joint sparse regression: stacking, constraint factors, thresholding, solver."""
+"""Joint sparse regression: joint layout, chain constraint, thresholding, solver."""
 
 from __future__ import annotations
 
@@ -11,12 +11,10 @@ from sparsefl.dictionary import LibrarySpec, build_dictionaries
 from sparsefl.dynamics import chain_integrator_system, integrate, vdp_system
 from sparsefl.lie import relative_degree
 from sparsefl.regression import (
+    GeneralConstraint,
     InfeasibleSparsityError,
     RegressionConfig,
     RegressionError,
-    build_constraint_M,
-    build_general_constraint,
-    build_stacked,
     coefficient_table,
     discovered_equations,
     format_coefficient_table,
@@ -49,25 +47,7 @@ def vdp_dicts(vdp_data):
     return build_dictionaries(LibrarySpec(), vdp_data)
 
 
-# -- stacked system --------------------------------------------------------------------
-
-
-def test_stacked_dimensions(vdp_dicts, vdp_data):
-    stacked = build_stacked(vdp_dicts, vdp_data)
-    # two state blocks of width p_x + p_u plus the output block
-    assert stacked.a_joint.shape == (300, 2 * 10 + 2 * 10 + 4)
-    assert stacked.z_joint.shape == (300,)
-    assert stacked.width == 44
-
-
-def test_stacked_off_diagonal_blocks_are_zero(vdp_dicts, vdp_data):
-    stacked = build_stacked(vdp_dicts, vdp_data)
-    a = stacked.a_joint
-    m, block = 100, 20
-    assert np.all(a[:m, block:] == 0.0)
-    assert np.all(a[m : 2 * m, :block] == 0.0)
-    assert np.all(a[m : 2 * m, 2 * block :] == 0.0)
-    assert np.all(a[2 * m :, : 2 * block] == 0.0)
+# -- joint layout ----------------------------------------------------------------------
 
 
 def true_vdp_coefficients(ds):
@@ -85,66 +65,118 @@ def true_vdp_coefficients(ds):
     return xi_tilde, xi_hat, zeta
 
 
+def test_stacked_dimensions(vdp_dicts, vdp_data):
+    # the state step's constraint has one [xi_tilde_j; xi_hat_j] block of
+    # p_x + p_u = 20 columns per coupled state; y = x1 at r = 2 couples
+    # state 1 alone, with one row per sample or one summed row
+    xi_tilde, _, zeta = true_vdp_coefficients(vdp_dicts)
+    states, C = GeneralConstraint(vdp_dicts, vdp_data, 2).state_rows(zeta, xi_tilde)
+    assert states == [0]
+    assert C.shape == (100, 20)
+    gc = GeneralConstraint(vdp_dicts, vdp_data, 2, "aggregated")
+    states, C = gc.state_rows(zeta, xi_tilde)
+    assert states == [0]
+    assert C.shape == (1, 20)
+
+
+def test_stacked_off_diagonal_blocks_are_zero():
+    # chain3 at r = 3 couples states 1 and 2: each block's drift columns are
+    # zero, and its input columns at level k and sample i are
+    # d_j(Lf^k c)(x_i) times the input library at sample i
+    sys, d = chain3_data()
+    ds = build_dictionaries(LibrarySpec(poly_order=2, output_poly_order=3), d)
+    xi_tilde, _, zeta = true_chain3_coefficients(ds)
+    states, C = GeneralConstraint(ds, d, 3).state_rows(zeta, xi_tilde)
+    assert states == [0, 1]
+    m, p_x, p_u = d.m, ds.p_x, ds.p_u
+    block = p_x + p_u
+    assert C.shape == (2 * m, 2 * block)
+    assert np.all(C[:, :p_x] == 0.0)
+    assert np.all(C[:, block : block + p_x] == 0.0)
+    # c = x1 and Lf c = x2: level 0 is state 1's input library, level 1 state 2's
+    tg = np.asarray(ds.theta_g)
+    assert np.array_equal(C[:m, p_x:block], tg)
+    assert np.all(C[:m, block + p_x :] == 0.0)
+    assert np.all(C[m:, p_x:block] == 0.0)
+    assert np.array_equal(C[m:, block + p_x :], tg)
+
+
 def test_true_coefficients_reproduce_targets(vdp_dicts, vdp_data):
-    stacked = build_stacked(vdp_dicts, vdp_data)
-    eta = stacked.pack(*true_vdp_coefficients(vdp_dicts))
-    residual = np.max(np.abs(stacked.a_joint @ eta - stacked.z_joint))
-    assert residual <= 1e-8
-
-
-def test_stacked_pack_unpack_round_trip(vdp_dicts, vdp_data):
-    stacked = build_stacked(vdp_dicts, vdp_data)
     xi_tilde, xi_hat, zeta = true_vdp_coefficients(vdp_dicts)
-    back = stacked.unpack(stacked.pack(xi_tilde, xi_hat, zeta))
-    assert np.array_equal(back[0], xi_tilde)
-    assert np.array_equal(back[1], xi_hat)
-    assert np.array_equal(back[2], zeta)
+    xdot = vdp_dicts.theta_f @ xi_tilde + vdp_dicts.theta_g @ xi_hat
+    assert np.max(np.abs(xdot - vdp_data.Xdot)) <= 1e-8
+    assert np.max(np.abs(vdp_dicts.phi @ zeta - vdp_data.Y)) <= 1e-8
 
 
-def test_stacked_requires_derivatives(vdp_dicts):
-    d = random_dataset(with_xdot=False)
-    ds = build_dictionaries(LibrarySpec(), d)
-    with pytest.raises(RegressionError, match="derivative"):
-        build_stacked(ds, d)
-
-
-# -- constraint factors -------------------------------------------------------------------
+# -- chain constraint rows -----------------------------------------------------------------
 
 
 @pytest.mark.filterwarnings("ignore:only .* samples")
 def test_constraint_single_sample_outer_product():
-    # sample x = 2, u = 3 with output library [1, x1]: the gradient row is
-    # [0, 1] and the pure-u column evaluates to 3, so the sample's factor
-    # outer product starts with column [0, 3].
+    # sample x = (2, 0), u = 3 with output library [1, x1]: the gradient row
+    # is [0, 1] and the input library [u, x1*u, x2*u] evaluates to [3, 6, 0],
+    # so the sample's outer product is [[0, 0, 0], [3, 6, 0]]. Its first
+    # column is the output row for g1 = 1, its second row the input row of
+    # state 1 for c = x1; c = 1 couples no state.
     d = Dataset(
         np.array([0.0, 0.01]),
-        np.array([[2.0], [2.0]]),
+        np.array([[2.0, 0.0], [2.0, 0.0]]),
         np.array([3.0, 3.0]),
         np.array([2.0, 2.0]),
-        Xdot=np.zeros((2, 1)),
+        Xdot=np.zeros((2, 2)),
     )
     ds = build_dictionaries(LibrarySpec(poly_order=1, output_poly_order=1), d)
-    factors = build_constraint_M(ds, d)
-    sample = np.outer(factors.L[0], factors.Tg[0])
-    assert sample[:, 0].tolist() == [0.0, 3.0]
-    assert factors.L[0].tolist() == [0.0, 1.0]
+    gc = GeneralConstraint(ds, d, 2)
+    xi_tilde = np.zeros((ds.p_x, 2))
+    xi_hat = np.zeros((ds.p_u, 2))
+    xi_hat[ds.labels_g().index("u"), 0] = 1.0
+    assert gc.zeta_rows(xi_tilde, xi_hat)[0].tolist() == [0.0, 3.0]
+    states, C = gc.state_rows(np.array([0.0, 1.0]), xi_tilde)
+    assert states == [0]
+    assert C[0].tolist() == [0.0, 0.0, 0.0, 3.0, 6.0, 0.0]
+    states, C = gc.state_rows(np.array([1.0, 0.0]), xi_tilde)
+    assert states == []
+    assert C.shape == (2, 0)
 
 
 def test_constraint_aggregate_is_sum_of_outer_products():
-    d = random_dataset(m=30, seed=5)
-    ds = build_dictionaries(LibrarySpec(poly_order=2), d)
-    factors = build_constraint_M(ds, d)
-    brute = sum(np.outer(factors.L[i], factors.Tg[i]) for i in range(d.m))
-    assert np.allclose(factors.M, brute, atol=1e-12)
+    # aggregated rows and residuals are the sums of the per-sample ones; at
+    # r = 3 the dense random drift carries Lf c to every state
+    for n, r, coupled in [(2, 2, [0]), (3, 3, [0, 1, 2])]:
+        d = random_dataset(m=30, n=n, seed=5)
+        ds = build_dictionaries(LibrarySpec(poly_order=2), d)
+        rng = np.random.default_rng(8)
+        xi_tilde = rng.uniform(-1, 1, size=(ds.p_x, n))
+        xi_hat = rng.uniform(-1, 1, size=(ds.p_u, n))
+        zeta = rng.uniform(-1, 1, size=ds.p_y)
+        per = GeneralConstraint(ds, d, r)
+        agg = GeneralConstraint(ds, d, r, "aggregated")
+
+        def summed(rows):
+            return rows.reshape(r - 1, d.m, -1).sum(axis=1)
+
+        states, C = per.state_rows(zeta, xi_tilde)
+        states_agg, C_agg = agg.state_rows(zeta, xi_tilde)
+        assert states == states_agg == coupled
+        assert np.allclose(C_agg, summed(C), rtol=1e-12, atol=1e-10)
+        D = per.zeta_rows(xi_tilde, xi_hat)
+        assert np.allclose(agg.zeta_rows(xi_tilde, xi_hat), summed(D), rtol=1e-12, atol=1e-10)
+        res = per.residuals(zeta, xi_tilde, xi_hat)
+        assert np.allclose(
+            agg.residuals(zeta, xi_tilde, xi_hat), res.sum(axis=1), rtol=1e-12, atol=1e-10
+        )
 
 
 def test_constraint_zero_input_warns():
+    # a zero input makes every input-library column zero: solve warns, and no
+    # state is coupled, so the constraint holds exactly
     d = random_dataset(m=20, seed=1)
     d = Dataset(d.times, d.X, np.zeros(d.m), d.Y, Xdot=d.Xdot)
     ds = build_dictionaries(LibrarySpec(poly_order=2), d)
     with pytest.warns(UserWarning, match="vacuous"):
-        factors = build_constraint_M(ds, d)
-    assert np.all(factors.M == 0.0)
+        model = solve(ds, d, RegressionConfig())
+    assert model.diagnostics.constraint_residual == 0.0
+    assert np.all(model.xi_hat == 0.0)
 
 
 # -- threshold pass ---------------------------------------------------------------------
@@ -477,26 +509,45 @@ def test_support_recovery_on_random_systems(seed):
 
 
 def test_general_constraint_matches_bilinear_factors(vdp_dicts, vdp_data):
-    model = solve(vdp_dicts, vdp_data, RegressionConfig())
-    bound = build_general_constraint(model, vdp_dicts, vdp_data, 2)
-    res = bound.residuals()
-    factors = build_constraint_M(vdp_dicts, vdp_data)
-    direct = factors.per_sample_residuals(model.zeta, model.xi_hat[:, 0])
-    assert res.shape == (1, vdp_data.m)
-    assert np.max(np.abs(res[0] - direct)) <= 1e-12
+    # r = 2 with dense random coefficients: the residual at sample i is
+    # (dc/dx1)(x_i) * g1(x_i) * u_i, the state-1 input row is
+    # (dc/dx1)(x_i) times the input library, and the output row is
+    # d(phi_a)/dx1 (x_i) * g1(x_i) * u_i, all from per-sample evaluation
+    rng = np.random.default_rng(4)
+    ds, d = vdp_dicts, vdp_data
+    xi_tilde = rng.uniform(-1, 1, size=(ds.p_x, 2))
+    xi_hat = rng.uniform(-1, 1, size=(ds.p_u, 2))
+    zeta = rng.uniform(-1, 1, size=ds.p_y)
+    c = sum((float(z) * e for z, e in zip(zeta, ds.phi_entries)), Expression.zero(2))
+    g1 = sum(
+        (float(w) * e.strip_input() for w, e in zip(xi_hat[:, 0], ds.theta_g_entries)),
+        Expression.zero(2),
+    )
+    dc = c.partial(0)
+    weights = np.array([dc.evaluate(x) for x in d.X])
+    g1u = np.array([g1.evaluate(x) * u for x, u in zip(d.X, d.U)])
+    gc = GeneralConstraint(ds, d, 2)
+    res = gc.residuals(zeta, xi_tilde, xi_hat)
+    assert res.shape == (1, d.m)
+    assert np.allclose(res[0], weights * g1u, rtol=1e-12, atol=1e-12)
+    states, C = gc.state_rows(zeta, xi_tilde)
+    assert states == [0]
+    tg = np.array([[e.evaluate(x, u) for e in ds.theta_g_entries] for x, u in zip(d.X, d.U)])
+    assert np.allclose(C[:, : ds.p_x], 0.0)
+    assert np.allclose(C[:, ds.p_x :], weights[:, None] * tg, rtol=1e-12, atol=1e-12)
+    dphi = np.array([[e.partial(0).evaluate(x) for e in ds.phi_entries] for x in d.X])
+    D = gc.zeta_rows(xi_tilde, xi_hat)
+    assert np.allclose(D, dphi * g1u[:, None], rtol=1e-12, atol=1e-12)
 
 
 def test_general_constraint_true_vdp_residuals(vdp_dicts, vdp_data):
-    class TrueModel:
-        xi_tilde, xi_hat, zeta = true_vdp_coefficients(vdp_dicts)
-
-    bound = build_general_constraint(TrueModel(), vdp_dicts, vdp_data, 2)
-    assert bound.max_residual() <= 1e-10
+    xi_tilde, xi_hat, zeta = true_vdp_coefficients(vdp_dicts)
+    for mode in ("per_sample", "aggregated"):
+        gc = GeneralConstraint(vdp_dicts, vdp_data, 2, mode)
+        assert np.max(np.abs(gc.residuals(zeta, xi_tilde, xi_hat))) <= 1e-10
 
 
 def test_general_constraint_gradient_samples_match_per_sample_loop():
-    from sparsefl.regression import GeneralConstraint
-
     sys, d = chain3_data()
     ds = build_dictionaries(LibrarySpec(poly_order=2, trig_orders=(1, 2)), d)
     gc = GeneralConstraint(ds, d, 3)
@@ -504,18 +555,35 @@ def test_general_constraint_gradient_samples_match_per_sample_loop():
     for e in [make_random_expression(rng, n_states=3, max_degree=5) for _ in range(10)]:
         grads = [e.partial(j) for j in range(3)]
         oracle = np.array([[g.evaluate(d.X[i]) for g in grads] for i in range(d.m)])
-        assert np.array_equal(gc._gradient_samples(e), oracle)
+        got = gc._partials([[e]])[0]
+        for j in range(3):
+            if j in got:
+                assert np.array_equal(got[j][:, 0], oracle[:, j])
+            else:
+                assert grads[j].is_zero()
 
 
 def test_general_constraint_rejects_excess_degree(vdp_dicts, vdp_data):
-    model = solve(vdp_dicts, vdp_data, RegressionConfig())
     with pytest.raises(ValueError, match="exceeds"):
-        build_general_constraint(model, vdp_dicts, vdp_data, 3)
+        GeneralConstraint(vdp_dicts, vdp_data, 3)
 
 
 def chain3_data():
     sys = chain_integrator_system(3)
     return sys, integrate(sys, [0.5, 0.0, 0.0], default_excitation(), 0.01, 199)
+
+
+def true_chain3_coefficients(ds):
+    """The chain integrator x1' = x2, x2' = x3, x3' = u, y = x1 in the library layout."""
+    labels = ds.labels_f()
+    xi_tilde = np.zeros((ds.p_x, 3))
+    xi_tilde[labels.index("x2"), 0] = 1.0
+    xi_tilde[labels.index("x3"), 1] = 1.0
+    xi_hat = np.zeros((ds.p_u, 3))
+    xi_hat[ds.labels_g().index("u"), 2] = 1.0
+    zeta = np.zeros(ds.p_y)
+    zeta[ds.labels_phi().index("x1")] = 1.0
+    return xi_tilde, xi_hat, zeta
 
 
 def test_chain_integrator_r3_identification():
@@ -547,14 +615,27 @@ def test_chain_integrator_r3_aggregated_mode():
     ]
 
 
-@pytest.mark.parametrize("mode, rows_per_level", [("aggregated", 1), ("per_sample", 200)])
-def test_chain_integrator_r3_constraint_rows_follow_mode(monkeypatch, mode, rows_per_level):
+@pytest.mark.parametrize(
+    "plant, mode, rows_per_level",
+    [
+        pytest.param("chain3", "aggregated", 1, id="aggregated-1"),
+        pytest.param("chain3", "per_sample", 200, id="per_sample-200"),
+        pytest.param("vdp", "aggregated", 1, id="vdp-aggregated-1"),
+        pytest.param("vdp", "per_sample", 100, id="vdp-per_sample-100"),
+    ],
+)
+def test_chain_integrator_r3_constraint_rows_follow_mode(
+    monkeypatch, vdp_dicts, vdp_data, plant, mode, rows_per_level
+):
     # aggregated enforces one summed row per chain level, per_sample one row
     # per sample and level; both in the state step and the output step
     import sparsefl.regression as regression
 
-    sys, d = chain3_data()
-    ds = build_dictionaries(LibrarySpec(poly_order=2, output_poly_order=3), d)
+    if plant == "chain3":
+        r, (sys, d) = 3, chain3_data()
+        ds = build_dictionaries(LibrarySpec(poly_order=2, output_poly_order=3), d)
+    else:
+        r, d, ds = 2, vdp_data, vdp_dicts
     rows = []
     inner = regression._constrained_solve
 
@@ -564,31 +645,67 @@ def test_chain_integrator_r3_constraint_rows_follow_mode(monkeypatch, mode, rows
         return inner(A, z, C, hard, rho)
 
     monkeypatch.setattr(regression, "_constrained_solve", spy)
-    solve(ds, d, RegressionConfig(relative_degree=3, constraint_mode=mode))
-    assert rows and set(rows) == {2 * rows_per_level}
+    solve(ds, d, RegressionConfig(relative_degree=r, constraint_mode=mode))
+    assert rows and set(rows) == {(r - 1) * rows_per_level}
 
 
 def test_chain_integrator_r3_hand_residuals():
     # plug the exact chain-integrator coefficients into the r=3 constraint:
     # both chain levels must vanish identically on the data
     sys, d = chain3_data()
-    spec = LibrarySpec(poly_order=2, output_poly_order=3)
-    ds = build_dictionaries(spec, d)
-    labels = ds.labels_f()
-    xi_tilde = np.zeros((ds.p_x, 3))
-    xi_tilde[labels.index("x2"), 0] = 1.0
-    xi_tilde[labels.index("x3"), 1] = 1.0
-    xi_hat = np.zeros((ds.p_u, 3))
-    xi_hat[ds.labels_g().index("u"), 2] = 1.0
-    zeta = np.zeros(ds.p_y)
-    zeta[ds.labels_phi().index("x1")] = 1.0
+    ds = build_dictionaries(LibrarySpec(poly_order=2, output_poly_order=3), d)
+    xi_tilde, xi_hat, zeta = true_chain3_coefficients(ds)
+    for mode in ("per_sample", "aggregated"):
+        res = GeneralConstraint(ds, d, 3, mode).residuals(zeta, xi_tilde, xi_hat)
+        assert res.shape[0] == 2
+        assert np.max(np.abs(res)) <= 1e-10
 
-    class M:
-        pass
 
-    M.xi_tilde, M.xi_hat, M.zeta = xi_tilde, xi_hat, zeta
-    bound = build_general_constraint(M, ds, d, 3)
-    assert bound.max_residual() <= 1e-10
+# -- coupled states ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("plant, state", [("vdp", 1), ("chain3", 2)])
+def test_uncoupled_state_keeps_unconstrained_solution(vdp_dicts, vdp_data, plant, state):
+    # the output chain never reaches this state's input channel, so the state
+    # step leaves it at its unconstrained STLS solution, bit for bit
+    if plant == "chain3":
+        r, (sys, d) = 3, chain3_data()
+        ds = build_dictionaries(LibrarySpec(poly_order=2, output_poly_order=3), d)
+    else:
+        r, d, ds = 2, vdp_data, vdp_dicts
+    constrained = solve(ds, d, RegressionConfig(relative_degree=r))
+    free = solve(ds, d, RegressionConfig(relative_degree=r, constraint_mode="none"))
+    assert constrained.diagnostics.alt_iterations >= 1
+    assert np.array_equal(constrained.xi_tilde[:, state], free.xi_tilde[:, state])
+    assert np.array_equal(constrained.xi_hat[:, state], free.xi_hat[:, state])
+
+
+@pytest.mark.parametrize("mode", ["per_sample", "aggregated"])
+def test_constant_output_skips_state_step(vdp_data, mode):
+    # Y = 1 fits zeta = e_0, c = 1, whose chain has no gradient: no input
+    # channel enters the constraint and every state keeps its initialization
+    d = Dataset(vdp_data.times, vdp_data.X, vdp_data.U, np.ones(vdp_data.m), Xdot=vdp_data.Xdot)
+    ds = build_dictionaries(LibrarySpec(), d)
+    model = solve(ds, d, RegressionConfig(constraint_mode=mode))
+    free = solve(ds, d, RegressionConfig(constraint_mode="none"))
+    assert model.c == Expression.constant(1.0, 2)
+    assert model.diagnostics.constraint_residual == 0.0
+    assert np.array_equal(model.xi_tilde, free.xi_tilde)
+    assert np.array_equal(model.xi_hat, free.xi_hat)
+
+
+@pytest.mark.parametrize("n, r", [(1, 2), (2, 3)])
+def test_relative_degree_above_state_dimension_fails_fast(monkeypatch, n, r):
+    import sparsefl.regression as regression
+
+    def no_stls(*args, **kwargs):
+        raise AssertionError("STLS ran before the relative degree was checked")
+
+    d = random_dataset(m=30, n=n, seed=3)
+    ds = build_dictionaries(LibrarySpec(poly_order=1), d)
+    monkeypatch.setattr(regression, "_stls", no_stls)
+    with pytest.raises(RegressionError, match=f"relative_degree {r} exceeds the state dimension {n}"):
+        solve(ds, d, RegressionConfig(relative_degree=r))
 
 
 # -- reporting / serialization ------------------------------------------------------------------

@@ -12,14 +12,9 @@ from hypothesis import strategies as st
 from conftest import make_random_expression
 from sparsefl.symexpr import (
     Expression,
-    add,
-    evaluate,
     evaluate_columns,
     format_expression,
-    is_zero,
-    mul,
     parse_expression,
-    partial,
 )
 
 
@@ -31,13 +26,13 @@ def x(i: int, n: int = 2) -> Expression:
 
 
 def test_add_additive_inverse_gives_empty_term_list():
-    total = add(x(0), -x(0))
+    total = x(0) + -x(0)
     assert total.terms == ()
     assert total.is_zero()
 
 
 def test_add_merges_like_terms():
-    assert add(x(1), 2.0 * x(1)) == 3.0 * x(1)
+    assert x(1) + 2.0 * x(1) == 3.0 * x(1)
 
 
 def test_add_controller_assembly_expansion():
@@ -45,7 +40,7 @@ def test_add_controller_assembly_expansion():
     # result against evaluating the two summands separately at random points.
     a = parse_expression("x1 - 2*x2 + 2*x1^2*x2", 2)
     b = 5.0 * (-x(0))
-    total = add(a, b)
+    total = a + b
     assert total.coefficient_of(x(0)) == pytest.approx(-4.0)
     assert total.coefficient_of(x(1)) == pytest.approx(-2.0)
     assert total.coefficient_of(parse_expression("x1^2*x2", 2)) == pytest.approx(2.0)
@@ -58,34 +53,34 @@ def test_add_controller_assembly_expansion():
 
 def test_add_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        add(x(0, 2), x(0, 3))
+        x(0, 2) + x(0, 3)
 
 
 # -- mul ------------------------------------------------------------------------
 
 
 def test_mul_monomials():
-    assert mul(x(0), x(0) * x(0)) == Expression.monomial((3, 0))
+    assert x(0) * (x(0) * x(0)) == Expression.monomial((3, 0))
 
 
 def test_mul_identity():
     one = Expression.constant(1.0, 2)
     e = parse_expression("2*x1 - x2 + sin(2*x1)*u", 2)
-    assert mul(one, e) == e
+    assert one * e == e
 
 
 def test_mul_with_coefficients():
-    assert mul(2.0 * x(0), Expression.monomial((2, 1))) == 2.0 * Expression.monomial((3, 1))
+    assert (2.0 * x(0)) * Expression.monomial((2, 1)) == 2.0 * Expression.monomial((3, 1))
 
 
 def test_mul_keeps_trig_products_as_atoms():
     s = Expression.trig("sin", 1, 0, 2)
     c = Expression.trig("cos", 1, 0, 2)
-    prod = mul(s, c)
+    prod = s * c
     assert len(prod.terms) == 1
     assert prod.terms[0].trig_atoms == (("cos", 1, 0), ("sin", 1, 0))
     # same-atom product stays a repeated atom, not a rewritten sum
-    sq = mul(s, s)
+    sq = s * s
     assert sq.terms[0].trig_atoms == (("sin", 1, 0), ("sin", 1, 0))
 
 
@@ -93,25 +88,25 @@ def test_mul_keeps_trig_products_as_atoms():
 
 
 def test_partial_cubic_monomial():
-    assert partial(Expression.monomial((3, 0)), 0) == 3.0 * Expression.monomial((2, 0))
+    assert Expression.monomial((3, 0)).partial(0) == 3.0 * Expression.monomial((2, 0))
 
 
 def test_partial_trig_chain_rule():
-    assert partial(Expression.trig("sin", 2, 0, 2), 0) == 2.0 * Expression.trig("cos", 2, 0, 2)
-    assert partial(Expression.trig("cos", 2, 0, 2), 0) == -2.0 * Expression.trig("sin", 2, 0, 2)
+    assert Expression.trig("sin", 2, 0, 2).partial(0) == 2.0 * Expression.trig("cos", 2, 0, 2)
+    assert Expression.trig("cos", 2, 0, 2).partial(0) == -2.0 * Expression.trig("sin", 2, 0, 2)
 
 
 def test_partial_mixed_monomial():
-    assert partial(Expression.monomial((2, 1)), 1) == Expression.monomial((2, 0))
+    assert Expression.monomial((2, 1)).partial(1) == Expression.monomial((2, 0))
 
 
 def test_partial_of_constant_is_zero():
-    assert partial(Expression.constant(4.2, 2), 0).is_zero()
+    assert Expression.constant(4.2, 2).partial(0).is_zero()
 
 
 def test_partial_product_rule_with_trig():
     e = x(0) * Expression.trig("sin", 1, 0, 2)
-    d = partial(e, 0)
+    d = e.partial(0)
     # d/dx1 (x1 sin x1) = sin x1 + x1 cos x1
     expected = Expression.trig("sin", 1, 0, 2) + x(0) * Expression.trig("cos", 1, 0, 2)
     assert d == expected
@@ -121,28 +116,28 @@ def test_partial_product_rule_with_trig():
 
 
 def test_evaluate_monomial():
-    assert evaluate(Expression.monomial((2, 1)), [2.0, 3.0], 0.0) == 12.0
+    assert Expression.monomial((2, 1)).evaluate([2.0, 3.0], 0.0) == 12.0
 
 
 def test_evaluate_constant():
-    assert evaluate(Expression.constant(1.0, 2), [123.4, -5.0]) == 1.0
+    assert Expression.constant(1.0, 2).evaluate([123.4, -5.0]) == 1.0
 
 
 def test_evaluate_hand_arithmetic():
     e = parse_expression("-x1 + 2*x2 - 2*x1^2*x2", 2)
-    assert evaluate(e, [1.0, 1.0]) == pytest.approx(-1.0)
+    assert e.evaluate([1.0, 1.0]) == pytest.approx(-1.0)
 
 
 def test_evaluate_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
-        evaluate(x(0), [math.inf, 0.0])
+        x(0).evaluate([math.inf, 0.0])
     with pytest.raises(ValueError, match="non-finite"):
-        evaluate(Expression.input(2), [0.0, 0.0], math.nan)
+        Expression.input(2).evaluate([0.0, 0.0], math.nan)
 
 
 def test_evaluate_rejects_wrong_dimension():
     with pytest.raises(ValueError):
-        evaluate(x(0), [1.0, 2.0, 3.0])
+        x(0).evaluate([1.0, 2.0, 3.0])
 
 
 def test_evaluate_columns_rejects_bad_input():
@@ -162,15 +157,15 @@ def test_evaluate_columns_rejects_bad_input():
 
 
 def test_is_zero_empty():
-    assert is_zero(Expression.zero(2))
+    assert Expression.zero(2).is_zero()
 
 
 def test_is_zero_below_tolerance():
-    assert is_zero(1e-12 * x(0), 1e-9)
+    assert (1e-12 * x(0)).is_zero(1e-9)
 
 
 def test_is_zero_above_tolerance():
-    assert not is_zero(x(1), 1e-9)
+    assert not x(1).is_zero(1e-9)
 
 
 # -- format / parse ---------------------------------------------------------------
@@ -234,9 +229,9 @@ def test_ring_laws_at_evaluation(seed):
     p = rng.uniform(-2.0, 2.0, size=2)
     u = float(rng.uniform(-2.0, 2.0))
     va, vb = a.evaluate(p, u), b.evaluate(p, u)
-    sum_val = add(a, b).evaluate(p, u)
+    sum_val = (a + b).evaluate(p, u)
     assert abs(sum_val - (va + vb)) <= 1e-12 * (1.0 + abs(va) + abs(vb))
-    prod = mul(a, b)
+    prod = a * b
     mass = sum(abs(t.evaluate(p, u)) for t in prod.terms)
     assert abs(prod.evaluate(p, u) - va * vb) <= 1e-12 * (1.0 + abs(va * vb) + mass)
 
@@ -255,7 +250,7 @@ def test_partial_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
     e = make_random_expression(rng)
     i = int(rng.integers(0, e.n_states))
-    d = partial(e, i)
+    d = e.partial(i)
     p = rng.uniform(-2.0, 2.0, size=e.n_states)
     u = float(rng.uniform(-1.0, 1.0))
     h = 1e-5
