@@ -30,7 +30,7 @@ from .dynamics import (
     vdp_system,
     zero_input,
 )
-from .lie import LieChain, RelativeDegreeError, lie_f, lie_g, n_recursion, normal_form, relative_degree
+from .lie import LieChain, RelativeDegreeError, lie_f, lie_g, normal_form, relative_degree
 from .regression import (
     RegressionConfig,
     RegressionError,

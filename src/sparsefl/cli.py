@@ -106,14 +106,16 @@ def default_config() -> dict:
 
 
 def _check_keys(section: dict, allowed: dict, path: str) -> None:
-    for key in section:
+    for key, value in section.items():
         if key not in allowed:
             raise ConfigError(f"unknown config key {path + key!r}")
-    for key, sub in allowed.items():
-        if isinstance(sub, dict) and key in section:
-            if not isinstance(section[key], dict):
+        sub = allowed[key]
+        if isinstance(sub, dict):
+            if not isinstance(value, dict):
                 raise ConfigError(f"config key {path + key!r} must be an object")
-            _check_keys(section[key], sub, path + key + ".")
+            _check_keys(value, sub, path + key + ".")
+        elif isinstance(value, dict):
+            raise ConfigError(f"config key {path + key!r} must not be an object")
 
 
 class PipelineConfig:

@@ -101,9 +101,18 @@ class DictionarySet:
     theta_f_entries: tuple[Expression, ...]
     theta_g_entries: tuple[Expression, ...]
     phi_entries: tuple[Expression, ...]
-    theta_f: np.ndarray  # m x p_x
-    theta_g: np.ndarray  # m x p_u
+    theta: np.ndarray  # m x (p_x + p_u), the joint design [theta_f | theta_g]
     phi: np.ndarray  # m x p_y
+
+    @property
+    def theta_f(self) -> np.ndarray:
+        """Drift library on the data, m x p_x (a view of ``theta``)."""
+        return self.theta[:, : self.p_x]
+
+    @property
+    def theta_g(self) -> np.ndarray:
+        """Input library on the data, m x p_u (a view of ``theta``)."""
+        return self.theta[:, self.p_x :]
 
     @property
     def p_x(self) -> int:
@@ -154,11 +163,9 @@ def build_dictionaries(spec: LibrarySpec, d: Dataset) -> DictionarySet:
     # one call, so the three libraries share their atom columns; the drift
     # and output entries carry no u factor, so passing U changes none of them
     values = evaluate_columns(f_entries + g_entries + phi_entries, d.X, d.U)
-    theta_f = values[:, :p_x].copy()
-    theta_g = values[:, p_x : p_x + p_u].copy()
+    theta = values[:, : p_x + p_u].copy()
     phi = values[:, p_x + p_u :].copy()
-    theta_f.setflags(write=False)
-    theta_g.setflags(write=False)
+    theta.setflags(write=False)
     phi.setflags(write=False)
     return DictionarySet(
         spec=spec,
@@ -166,8 +173,7 @@ def build_dictionaries(spec: LibrarySpec, d: Dataset) -> DictionarySet:
         theta_f_entries=tuple(f_entries),
         theta_g_entries=tuple(g_entries),
         phi_entries=tuple(phi_entries),
-        theta_f=theta_f,
-        theta_g=theta_g,
+        theta=theta,
         phi=phi,
     )
 

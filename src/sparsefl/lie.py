@@ -10,9 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dictionary import DictionarySet
 from .dynamics import ControlAffineSystem
 from .symexpr import Expression
 
@@ -23,8 +20,6 @@ __all__ = [
     "lie_g",
     "relative_degree",
     "normal_form",
-    "LieLevel",
-    "n_recursion",
 ]
 
 DEFAULT_ZERO_TOL = 1e-6
@@ -124,61 +119,3 @@ def normal_form(sys: ControlAffineSystem, chain: LieChain) -> list[Expression]:
         )
     coords = [chain.lf_powers[k] for k in range(sys.n)]
     return coords
-
-
-@dataclass(frozen=True)
-class LieLevel:
-    """Level k of the dictionary-side Lie recursion.
-
-    ``per_state[j][a][b]`` is the Expression d(G_{k-1}[a])/dx_j * theta_f[b],
-    where G_0 is the output library and G_k applies the drift derivative
-    entry-wise. Contracting with output coefficients and drift coefficients
-    reproduces Lf^k c of the reconstructed model.
-    """
-
-    order: int
-    per_state: tuple[tuple[tuple[Expression, ...], ...], ...]
-
-    def contract(self, zeta: np.ndarray, xi_tilde: np.ndarray) -> Expression:
-        n = len(self.per_state)
-        p_y = len(self.per_state[0])
-        p_x = len(self.per_state[0][0])
-        if len(zeta) != p_y or xi_tilde.shape != (p_x, n):
-            raise ValueError("coefficient shapes do not match the recursion level")
-        n_states = self.per_state[0][0][0].n_states
-        out = Expression.zero(n_states)
-        for j in range(n):
-            for a in range(p_y):
-                za = float(zeta[a])
-                if za == 0.0:
-                    continue
-                for b in range(p_x):
-                    w = float(xi_tilde[b, j])
-                    if w == 0.0:
-                        continue
-                    out = out + (za * w) * self.per_state[j][a][b]
-        return out
-
-
-def n_recursion(ds: DictionarySet, sys: ControlAffineSystem, order: int) -> list[LieLevel]:
-    """Build the dictionary-side recursion levels 1..order.
-
-    Level k factors Lf^k c into (derivative of the level k-1 output chain)
-    times (drift library entries); order 0 is degenerate (the output map
-    itself) and returns an empty list.
-    """
-    if order < 0 or order > sys.n - 1:
-        raise ValueError(f"order out of range: {order} (state dimension {sys.n})")
-    levels: list[LieLevel] = []
-    chain: list[Expression] = list(ds.phi_entries)  # G_0
-    for k in range(1, order + 1):
-        per_state = tuple(
-            tuple(
-                tuple(chain[a].partial(j) * ds.theta_f_entries[b] for b in range(ds.p_x))
-                for a in range(ds.p_y)
-            )
-            for j in range(sys.n)
-        )
-        levels.append(LieLevel(order=k, per_state=per_state))
-        chain = [lie_f(e, sys) for e in chain]  # G_k for the next level
-    return levels

@@ -240,19 +240,21 @@ def _stls(
         info = _StlsInfo()
     for _ in range(max_iter):
         info.iterations += 1
-        A_act = A[:, active]
+        # basic slicing on an all-active sweep: views, no boolean-mask gather
+        cols = slice(None) if active.all() else active
+        A_act = A[:, cols]
         scale = None
         if column_scale is not None:
-            scale = column_scale[active]
+            scale = column_scale[cols]
             A_act = A_act / scale
-        C_act = constraint[:, active] if constraint is not None else None
+        C_act = constraint[:, cols] if constraint is not None else None
         if C_act is not None and scale is not None:
             C_act = C_act / scale
         w_act = _constrained_solve(A_act, z, C_act, hard, rho)
         if scale is not None:
             w_act = w_act / scale
         w = np.zeros(p)
-        w[active] = w_act
+        w[cols] = w_act
         result = threshold_pass(w, lam)
         if result.infeasible:
             if np.max(np.abs(z), initial=0.0) <= 1e-12:
@@ -456,7 +458,7 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
         )
     p_x, p_u = ds.p_x, ds.p_u
     block = p_x + p_u
-    theta = np.hstack([ds.theta_f, ds.theta_g])
+    theta = ds.theta
     hard = cfg.solver_mode == "alternating_constrained"
     rho = cfg.penalty_weight
     notes: list[str] = []

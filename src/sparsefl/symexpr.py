@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -332,12 +333,16 @@ def evaluate_columns(
 
     Each distinct atom column (``x_i^p``, a trig atom, ``u^q``) is computed
     once per call, element by element with the same scalar operations
-    :meth:`Term.evaluate` uses (``v ** p``, ``math.sin(freq * v)``). Vector
-    ``np.power``/``np.sin`` may round differently from the scalar libm calls,
-    so they are not used. Term columns are then formed by multiplying the
-    coefficient by the atom columns in :meth:`Term.evaluate`'s factor order,
-    and summed from zero in term order; elementwise IEEE multiply and add
-    round exactly as the scalar operations do.
+    :meth:`Term.evaluate` uses (``v ** p``, ``math.sin(freq * v)``), iterated
+    in C by ``map``. Vector ``np.power``/``np.sin`` may round differently
+    from the scalar libm calls, so they are not used; an overflowing power
+    raises ``OverflowError`` as the scalar one does. ``v ** 1`` is ``v``
+    itself, so power-1 atoms are the state and input columns. The product
+    ``freq * v`` is one IEEE multiply, elementwise or scalar. Term columns
+    are then formed by multiplying the coefficient by the atom columns in
+    :meth:`Term.evaluate`'s factor order, and summed from zero in term
+    order; elementwise IEEE multiply and add round exactly as the scalar
+    operations do.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -351,23 +356,26 @@ def evaluate_columns(
     if not np.all(np.isfinite(U)):
         raise ValueError("non-finite input value")
 
-    xs = X.T.tolist()  # Python floats, as Term.evaluate sees them
-    us = U.tolist()
     atoms: dict[tuple, np.ndarray] = {}
+
+    def powers(column: np.ndarray, p: int) -> np.ndarray:
+        if p == 1:
+            return column
+        # Python floats, so pow is the float power Term.evaluate calls
+        return np.fromiter(map(pow, column.tolist(), repeat(p)), float, m)
 
     def atom(key: tuple) -> np.ndarray:
         # key: ("x", i, p) for x_i^p, ("u", q) for u^q, or a trig atom
         if key not in atoms:
             if key[0] == "x":
-                _, i, p = key
-                values = [v**p for v in xs[i]]
+                atoms[key] = powers(X[:, key[1]], key[2])
             elif key[0] == "u":
-                values = [v ** key[1] for v in us]
+                atoms[key] = powers(U, key[1])
             else:
                 kind, freq, var = key
                 fn = math.sin if kind == "sin" else math.cos
-                values = [fn(freq * v) for v in xs[var]]
-            atoms[key] = np.array(values)
+                angles = (X[:, var] * float(freq)).tolist()
+                atoms[key] = np.fromiter(map(fn, angles), float, m)
         return atoms[key]
 
     out = np.empty((m, len(exprs)))

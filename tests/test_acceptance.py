@@ -23,9 +23,9 @@ from sparsefl.dynamics import (
     vdp_system,
     zero_input,
 )
-from sparsefl.lie import lie_f, n_recursion, relative_degree
-from sparsefl.regression import RegressionConfig, solve
-from sparsefl.symexpr import Expression, parse_expression
+from sparsefl.lie import lie_f, lie_g, relative_degree
+from sparsefl.regression import GeneralConstraint, RegressionConfig, solve
+from sparsefl.symexpr import Expression, evaluate_columns, parse_expression
 
 
 def report(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -237,38 +237,41 @@ def test_criterion_8_symbolic_calculus():
             worst = max(worst, abs(exact - fd) / (1.0 + abs(exact)))
     fd_ok = worst <= 1e-6
 
-    # dictionary-side recursion equals the direct Lie route, symbolically
-    sys2 = vdp_system(1, 1, 1)
-    d2 = integrate(sys2, [2.0, 0.0], default_excitation(), 0.01, 99)
-    ds2 = build_dictionaries(LibrarySpec(), d2)
-    zeta2 = np.zeros(ds2.p_y)
-    zeta2[ds2.labels_phi().index("x1")] = 1.0
-    xi2 = np.zeros((ds2.p_x, 2))
-    labels = ds2.labels_f()
-    xi2[labels.index("x2"), 0] = 1.0
-    xi2[labels.index("x1"), 1] = -1.0
-    xi2[labels.index("x2"), 1] = 2.0
-    xi2[labels.index("x1^2*x2"), 1] = -2.0
-    lvl = n_recursion(ds2, sys2, 1)[0]
-    routes_ok = (lvl.contract(zeta2, xi2) - lie_f(sys2.c, sys2)).is_zero(1e-10)
+    # the constraint's Lie chain equals the direct Lie route: at dense random
+    # coefficients, chain level k on the data is (Lg Lf^k c)(x_i) * u_i of the
+    # reconstructed model, for r = 2 (Van der Pol) and r = 3 (chain)
+    routes_ok = True
+    cases = (
+        (vdp_system(1, 1, 1), [2.0, 0.0], LibrarySpec(), 2),
+        (chain_integrator_system(3), [0.5, 0.0, 0.0], LibrarySpec(poly_order=2, output_poly_order=3), 3),
+    )
 
-    sys3 = chain_integrator_system(3)
-    d3 = integrate(sys3, [0.5, 0.0, 0.0], default_excitation(), 0.01, 99)
-    ds3 = build_dictionaries(LibrarySpec(poly_order=2, output_poly_order=3), d3)
-    zeta3 = np.zeros(ds3.p_y)
-    zeta3[ds3.labels_phi().index("x1")] = 1.0
-    xi3 = np.zeros((ds3.p_x, 3))
-    labels3 = ds3.labels_f()
-    xi3[labels3.index("x2"), 0] = 1.0
-    xi3[labels3.index("x3"), 1] = 1.0
-    direct = sys3.c
-    for level in n_recursion(ds3, sys3, 2):
-        direct = lie_f(direct, sys3)
-        routes_ok = routes_ok and (level.contract(zeta3, xi3) - direct).is_zero(1e-10)
+    def combine(coeffs, entries):
+        return sum((float(w) * e for w, e in zip(coeffs, entries)), Expression.zero(entries[0].n_states))
+
+    for sys, x0, spec, r in cases:
+        d = integrate(sys, x0, default_excitation(), 0.01, 99)
+        ds = build_dictionaries(spec, d)
+        xi_tilde = rng.uniform(-1.0, 1.0, size=(ds.p_x, sys.n))
+        xi_hat = rng.uniform(-1.0, 1.0, size=(ds.p_u, sys.n))
+        zeta = rng.uniform(-1.0, 1.0, size=ds.p_y)
+        model = ControlAffineSystem(
+            f=[combine(xi_tilde[:, j], ds.theta_f_entries) for j in range(sys.n)],
+            g=[combine(xi_hat[:, j], ds.theta_g_entries).strip_input() for j in range(sys.n)],
+            c=combine(zeta, ds.phi_entries),
+            n=sys.n,
+        )
+        chain = GeneralConstraint(ds, d, r).residuals(zeta, xi_tilde, xi_hat)
+        lf_c, u = model.c, Expression.input(sys.n)
+        for k in range(r - 1):
+            direct = evaluate_columns([lie_g(lf_c, model) * u], d.X, d.U)[:, 0]
+            routes_ok = routes_ok and bool(np.allclose(chain[k], direct, rtol=1e-9, atol=1e-9))
+            routes_ok = routes_ok and np.max(np.abs(direct)) > 1e-3
+            lf_c = lie_f(lf_c, model)
 
     report(
         8,
-        "randomized partials match finite differences; recursion equals direct Lie route",
+        "randomized partials match finite differences; constraint chain equals direct Lie route",
         fd_ok and routes_ok,
         f"worst FD rel err {worst:.2e}",
     )

@@ -73,6 +73,15 @@ def test_unknown_config_key_rejected(tmp_path):
     assert run(["simulate", "--config", nested, "--out", tmp_path]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "raw", [{"seed": {"x": 1}}, {"library": {"poly_order": {"x": 1}}}], ids=["top", "nested"]
+)
+def test_object_for_scalar_config_key_rejected(tmp_path, raw, capsys):
+    cfg = write_config(tmp_path, raw)
+    assert run(["simulate", "--config", cfg, "--out", tmp_path]) == EXIT_CONFIG
+    assert "must not be an object" in capsys.readouterr().err
+
+
 def test_chirp_excitation_via_config(tmp_path):
     cfg = write_config(
         tmp_path,

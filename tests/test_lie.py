@@ -1,4 +1,4 @@
-"""Lie chains, relative degree, normal form, and the dictionary-side recursion."""
+"""Lie chains, relative degree and normal form."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from sparsefl.lie import (
     RelativeDegreeError,
     lie_f,
     lie_g,
-    n_recursion,
     normal_form,
     relative_degree,
 )
@@ -159,64 +158,6 @@ def test_normal_form_undefined_degree():
     blind = ControlAffineSystem(f=sys.f, g=sys.g, c=Expression.constant(1.0, 2), n=2)
     with pytest.raises(RelativeDegreeError, match="undefined"):
         normal_form(blind, relative_degree(blind))
-
-
-# -- dictionary-side recursion ----------------------------------------------------------------
-
-
-def vdp_coefficients(ds):
-    labels = ds.labels_f()
-    xi_tilde = np.zeros((ds.p_x, 2))
-    xi_tilde[labels.index("x2"), 0] = 1.0
-    xi_tilde[labels.index("x1"), 1] = -1.0
-    xi_tilde[labels.index("x2"), 1] = 2.0
-    xi_tilde[labels.index("x1^2*x2"), 1] = -2.0
-    zeta = np.zeros(ds.p_y)
-    zeta[ds.labels_phi().index("x1")] = 1.0
-    return zeta, xi_tilde
-
-
-def test_recursion_level_one_matches_direct_lie_vdp():
-    sys = vdp_system(1, 1, 1)
-    d = integrate(sys, [2.0, 0.0], default_excitation(), 0.01, 99)
-    ds = build_dictionaries(LibrarySpec(), d)
-    zeta, xi_tilde = vdp_coefficients(ds)
-    levels = n_recursion(ds, sys, 1)
-    assert len(levels) == 1
-    contracted = levels[0].contract(zeta, xi_tilde)
-    direct = lie_f(sys.c, sys)
-    assert (contracted - direct).is_zero(1e-10)
-
-
-def test_recursion_degenerate_order_zero():
-    sys = vdp_system(1, 1, 1)
-    d = integrate(sys, [2.0, 0.0], default_excitation(), 0.01, 99)
-    ds = build_dictionaries(LibrarySpec(), d)
-    assert n_recursion(ds, sys, 0) == []
-
-
-def test_recursion_chain_integrator_matches_hand_computation():
-    sys = chain_integrator_system(3)
-    d = integrate(sys, [0.5, 0.0, 0.0], default_excitation(), 0.01, 99)
-    ds = build_dictionaries(LibrarySpec(poly_order=2, output_poly_order=3), d)
-    labels = ds.labels_f()
-    xi_tilde = np.zeros((ds.p_x, 3))
-    xi_tilde[labels.index("x2"), 0] = 1.0
-    xi_tilde[labels.index("x3"), 1] = 1.0
-    zeta = np.zeros(ds.p_y)
-    zeta[ds.labels_phi().index("x1")] = 1.0
-    levels = n_recursion(ds, sys, 2)
-    # hand chain: Lf c = x2, Lf^2 c = x3
-    assert (levels[0].contract(zeta, xi_tilde) - Expression.variable(1, 3)).is_zero(1e-12)
-    assert (levels[1].contract(zeta, xi_tilde) - Expression.variable(2, 3)).is_zero(1e-12)
-
-
-def test_recursion_order_out_of_range():
-    sys = vdp_system(1, 1, 1)
-    d = integrate(sys, [2.0, 0.0], default_excitation(), 0.01, 99)
-    ds = build_dictionaries(LibrarySpec(), d)
-    with pytest.raises(ValueError, match="order out of range"):
-        n_recursion(ds, sys, 2)
 
 
 # -- numerical Leibniz check --------------------------------------------------------------------

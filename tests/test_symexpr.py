@@ -266,20 +266,46 @@ def test_partial_matches_finite_differences(seed):
 @settings(max_examples=100, deadline=None)
 def test_evaluate_columns_is_bitwise_evaluate(seed, n):
     # powers up to 5, sin/cos at frequencies 1-2, input powers, multi-term
-    # sums: the column evaluator must return exactly the per-sample values
+    # sums: the column evaluator must return exactly the per-sample values,
+    # compared as bit patterns so that -0.0 and 0.0 differ
     rng = np.random.default_rng(seed)
     exprs = [
         make_random_expression(
             rng, n_states=n, max_terms=5, max_degree=5, max_trig_freq=2, max_input_power=3
         )
         for _ in range(4)
-    ]
+    ] + [x(n - 1, n), -1.0 * Expression.input(n)]
+    # exact zeros of both signs and unit magnitudes: power-1 atoms are the
+    # state and input columns themselves, and a sum of -0.0 terms is +0.0
     X = rng.uniform(-3.0, 3.0, size=(25, n))
     U = rng.uniform(-3.0, 3.0, size=25)
+    specials = np.array([0.0, -0.0, 1.0, -1.0])
+    for a in (X, U):
+        mask = rng.random(a.shape) < 0.4
+        a[mask] = rng.choice(specials, size=int(mask.sum()))
     with_u = np.array([[e.evaluate(X[i], U[i]) for e in exprs] for i in range(25)])
     without_u = np.array([[e.evaluate(X[i]) for e in exprs] for i in range(25)])
-    assert np.array_equal(evaluate_columns(exprs, X, U), with_u)
-    assert np.array_equal(evaluate_columns(exprs, X), without_u)
+    bits = lambda a: a.view(np.uint64)  # noqa: E731
+    assert np.array_equal(bits(evaluate_columns(exprs, X, U)), bits(with_u))
+    assert np.array_equal(bits(evaluate_columns(exprs, X)), bits(without_u))
+
+
+@pytest.mark.parametrize(
+    "expr, X, U",
+    [
+        (Expression.monomial((3, 0)), [[1.0, 0.0], [1e200, 0.0]], None),
+        (Expression.input(2, 2), [[1.0, 0.0], [1.0, 0.0]], [1.0, -1e200]),
+    ],
+)
+def test_evaluate_columns_overflow_raises_like_evaluate(expr, X, U):
+    # a power that overflows raises, as the scalar ``v ** p`` does; np.power
+    # would return inf instead
+    u = 0.0 if U is None else U[1]
+    with pytest.raises(OverflowError) as scalar:
+        expr.evaluate(X[1], u)
+    with pytest.raises(OverflowError) as columns:
+        evaluate_columns([expr], np.array(X), None if U is None else np.array(U))
+    assert str(columns.value) == str(scalar.value)
 
 
 def test_evaluation_is_deterministic():
