@@ -79,8 +79,6 @@ _DEFAULT_CONFIG = {
         "constraint_tol": 1e-6,
         "coef_tol": 1e-10,
         "constraint_mode": "per_sample",
-        "solver_mode": "alternating_constrained",
-        "penalty_weight": 1e8,
         "relative_degree": 2,
     },
     "controller": {"gains": [5.0, 4.0], "poles": None},
@@ -150,8 +148,6 @@ class PipelineConfig:
                 constraint_tol=float(reg["constraint_tol"]),
                 coef_tol=float(reg["coef_tol"]),
                 constraint_mode=str(reg["constraint_mode"]),
-                solver_mode=str(reg["solver_mode"]),
-                penalty_weight=float(reg["penalty_weight"]),
                 relative_degree=int(reg["relative_degree"]),
             )
         except (ValueError, KeyError, TypeError) as exc:
@@ -302,7 +298,8 @@ def _read_controller(path: str) -> control.ControllerSpec:
 # -- stages ---------------------------------------------------------------------
 
 
-def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> Path:
+def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> tuple[Path, data.Dataset]:
+    """Integrate the plant under the excitation; write dataset.csv and return it."""
     sim = cfg.raw["simulation"]
     if cfg.excitation.kind == "zero" and cfg.regression.constraint_enabled:
         print(
@@ -320,7 +317,7 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> Path:
     out = out_dir / "dataset.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     data.save_csv(ds, out)
-    return out
+    return out, ds
 
 
 def cmd_identify(dataset_path: Path, cfg: PipelineConfig, out_dir: Path) -> Path:
@@ -436,19 +433,19 @@ def cmd_closedloop(
 
 
 def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
-    dataset_path = cmd_simulate(cfg, out_dir)
+    dataset_path, true_traj = cmd_simulate(cfg, out_dir)
     model_path = cmd_identify(dataset_path, cfg, out_dir)
     chain = cmd_lie(model_path, out_dir)
     controller_path = cmd_synthesize(model_path, cfg, out_dir)
     stabilization_path = cmd_closedloop(controller_path, cfg, out_dir, "stabilization")
     cmd_closedloop(controller_path, cfg, out_dir, "tracking")
 
-    # overlay of the true plant and the identified model from the same start
+    # overlay of the true plant (the identification data) and the identified
+    # model from the same start
     model = _read_model(str(model_path))
     sim = cfg.raw["simulation"]
     x0 = np.array(sim["x0"], dtype=float)
     dt, steps = float(sim["dt"]), int(sim["steps"])
-    true_traj = dynamics.integrate(cfg.system, x0, cfg.excitation, dt, steps)
     ident_traj = dynamics.integrate(model.system(), x0, cfg.excitation, dt, steps)
     header = (
         ["t"]
@@ -594,7 +591,7 @@ def main(argv: list[str] | None = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
 
         if args.command == "simulate":
-            path = cmd_simulate(cfg, out_dir)
+            path, _ = cmd_simulate(cfg, out_dir)
             print(f"wrote {path}")
         elif args.command == "identify":
             path = cmd_identify(Path(args.data), cfg, out_dir)
@@ -620,13 +617,10 @@ def main(argv: list[str] | None = None) -> int:
     except (DivergenceError, ControlSingularityError) as exc:
         print(f"simulation diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except RelativeDegreeError as exc:
+    except RelativeDegreeError as exc:  # a ValueError: keep it before the next handler
         print(f"relative-degree failure: {exc}", file=sys.stderr)
         return EXIT_RELATIVE_DEGREE
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, DatasetError) as exc:
+    except ValueError as exc:  # ConfigError and DatasetError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -69,12 +69,6 @@ class ControlAffineSystem:
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "g", g)
 
-    @property
-    def output_state_index(self) -> int | None:
-        """Index of the single state the output depends on (None for constant c)."""
-        used = self.c.state_variables()
-        return next(iter(used)) if used else None
-
     def rhs(self, x: Sequence[float], u: float) -> np.ndarray:
         # Overflow during a blow-up maps to inf so the integrator can report
         # a divergence instead of leaking an arithmetic error.

@@ -4,19 +4,18 @@ The joint problem couples the state regressions ``Xdot = [ThetaF ThetaG] W``
 with the output regression ``Y = Phi zeta`` and enforces that the
 reconstructed model has the requested relative degree r: the mixed Lie
 derivatives Lg Lf^k c (k = 0..r-2) of the reconstructed (c, f, g) must
-vanish on the data. One chain constraint, :class:`GeneralConstraint`,
-builds these rows for every r >= 2, one per sample and level
-(``per_sample``) or one summed row per level (``aggregated``). At r = 2 it
+vanish at every sample. One chain constraint, :class:`GeneralConstraint`,
+builds these rows for every r >= 2, one per sample and level. At r = 2 it
 is the bilinear condition (dc/dx_k)(x_i) * g_k(x_i) u_i = 0.
 
 Sparsity is produced by sequential thresholded least squares: alternate an
 exact least-squares solve with hard-thresholding of coefficients below the
 threshold, shrinking the active set until it stabilizes. Constrained steps
-replace the plain solve with an equality-constrained solve via null-space
-elimination (or a quadratic penalty when ``solver_mode='penalty'``). The
-constraint is multilinear in the coefficient blocks, so fixing all blocks
-but one keeps each step a convex problem; the solver alternates between
-the input-channel (state) step and the output step.
+replace the plain solve with an exact equality-constrained solve by
+null-space elimination. The constraint is multilinear in the coefficient
+blocks, so fixing all blocks but one keeps each step a convex problem; the
+solver alternates between the input-channel (state) step and the output
+step.
 
 The state step jointly solves only the coupled states: those whose
 input-channel columns in the current constraint rows are not all zero.
@@ -28,6 +27,7 @@ state step is skipped.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import reduce
@@ -79,24 +79,23 @@ class RegressionConfig:
     max_alt_iters: int = 30
     constraint_tol: float = 1e-6
     coef_tol: float = 1e-10
-    constraint_mode: str = "per_sample"  # per_sample | aggregated | none
-    solver_mode: str = "alternating_constrained"  # alternating_constrained | penalty
-    penalty_weight: float = 1e8
+    constraint_mode: str = "per_sample"  # per_sample | none
     relative_degree: int = 2
 
     def __post_init__(self) -> None:
+        # NaN passes every ordered comparison below, so finiteness comes first
+        for name in ("lam", "constraint_tol", "coef_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.lam < 0:
             raise ValueError("lam must be non-negative")
         if self.constraint_tol <= 0 or self.coef_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.relative_degree < 1:
-            raise ValueError("relative_degree must be at least 1")
-        if self.constraint_mode not in ("per_sample", "aggregated", "none"):
+        for name in ("max_outer_iters", "max_alt_iters", "relative_degree"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.constraint_mode not in ("per_sample", "none"):
             raise ValueError(f"unknown constraint_mode {self.constraint_mode!r}")
-        if self.solver_mode not in ("alternating_constrained", "penalty"):
-            raise ValueError(f"unknown solver_mode {self.solver_mode!r}")
-        if self.penalty_weight <= 0:
-            raise ValueError("penalty_weight must be positive")
 
     @property
     def constraint_enabled(self) -> bool:
@@ -159,8 +158,8 @@ class ThresholdResult:
 
 def threshold_pass(coeffs: np.ndarray, lam: float) -> ThresholdResult:
     """Zero every entry with magnitude below ``lam``; report the active set."""
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("lam must be finite and non-negative")
     values = np.array(coeffs, dtype=float)
     active = np.abs(values) >= lam if lam > 0 else np.ones_like(values, dtype=bool)
     active &= values != 0.0
@@ -189,25 +188,14 @@ def _lstsq(A: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(A, z, rcond=None)[0]
 
 
-def _constrained_solve(
-    A: np.ndarray,
-    z: np.ndarray,
-    C: np.ndarray | None,
-    hard: bool,
-    rho: float,
-) -> np.ndarray:
-    """min ||A w - z|| subject to C w = 0 (hard) or + rho ||C w||^2 (penalty)."""
+def _constrained_solve(A: np.ndarray, z: np.ndarray, C: np.ndarray | None) -> np.ndarray:
+    """min ||A w - z|| subject to C w = 0, by elimination on the null space of C."""
     if C is None or C.shape[0] == 0:
         return _lstsq(A, z)
-    if hard:
-        N = _null_space(C)
-        if N.shape[1] == 0:
-            return np.zeros(A.shape[1])
-        v = _lstsq(A @ N, z)
-        return N @ v
-    A_aug = np.vstack([A, np.sqrt(rho) * C])
-    z_aug = np.concatenate([z, np.zeros(C.shape[0])])
-    return _lstsq(A_aug, z_aug)
+    N = _null_space(C)
+    if N.shape[1] == 0:
+        return np.zeros(A.shape[1])
+    return N @ _lstsq(A @ N, z)
 
 
 @dataclass
@@ -221,8 +209,6 @@ def _stls(
     lam: float,
     max_iter: int,
     constraint: np.ndarray | None = None,
-    hard: bool = True,
-    rho: float = 0.0,
     column_scale: np.ndarray | None = None,
     info: _StlsInfo | None = None,
     what: str = "coefficients",
@@ -250,7 +236,7 @@ def _stls(
         C_act = constraint[:, cols] if constraint is not None else None
         if C_act is not None and scale is not None:
             C_act = C_act / scale
-        w_act = _constrained_solve(A_act, z, C_act, hard, rho)
+        w_act = _constrained_solve(A_act, z, C_act)
         if scale is not None:
             w_act = w_act / scale
         w = np.zeros(p)
@@ -298,27 +284,22 @@ class GeneralConstraint:
     input-channel coefficients with (zeta, xi_tilde) frozen, the output
     coefficients with (xi_tilde, xi_hat) frozen.
 
-    ``mode`` is ``per_sample`` (one row per sample and level) or
-    ``aggregated`` (one row per level, the sum of its sample rows; a level's
-    gradients are then kept summed against the input library, G^T Tg). The
-    level-0 gradients do not depend on the coefficients and are evaluated
-    here; the drift fields enter only for r > 2, and the higher levels are
-    re-evaluated only when xi_tilde changes.
+    There is one row per sample and level. The level-0 gradients do not
+    depend on the coefficients and are evaluated here; the drift fields
+    enter only for r > 2, and the higher levels are re-evaluated only when
+    xi_tilde changes.
     """
 
-    def __init__(self, ds: DictionarySet, d: Dataset, r: int, mode: str = "per_sample"):
+    def __init__(self, ds: DictionarySet, d: Dataset, r: int):
         n = d.n
         if r < 2:
             raise ValueError("the chain constraint needs relative_degree >= 2")
         if r > n:
             raise ValueError(f"relative_degree {r} exceeds state dimension {n}")
-        if mode not in ("per_sample", "aggregated"):
-            raise ValueError(f"unknown constraint mode {mode!r}")
         self.ds = ds
         self.d = d
         self.r = r
         self.n = n
-        self.mode = mode
         self.tg = np.asarray(ds.theta_g)
         self._has_input = self.tg.any(axis=1)
         # per chain level k: {state j: d_j(Lf^k phi_a) at every sample, m x p_y}
@@ -329,8 +310,7 @@ class GeneralConstraint:
         """Per list of expressions, {state j: m x len(list) values of d_j e}.
 
         Only the states some expression of the list depends on appear. One
-        evaluation pass serves every list, so they share atom columns. In
-        aggregated mode each block is returned summed, as G^T Tg.
+        evaluation pass serves every list, so they share atom columns.
         """
         keys, parts = [], []
         for k, row in enumerate(rows):
@@ -342,8 +322,7 @@ class GeneralConstraint:
         values = evaluate_columns(parts, self.d.X)
         out: list[dict[int, np.ndarray]] = [{} for _ in rows]
         for k, j, start, width in keys:
-            block = values[:, start : start + width]
-            out[k][j] = block.T @ self.tg if self.mode == "aggregated" else block
+            out[k][j] = values[:, start : start + width]
         return out
 
     def _entry_levels(self, xi_tilde: np.ndarray) -> list[dict[int, np.ndarray]]:
@@ -364,57 +343,38 @@ class GeneralConstraint:
 
         A state is coupled when its input-channel columns are not all zero.
         Returns the coupled states in order and the rows, one block of
-        p_x + p_u columns per coupled state, drift columns zero:
-        ((r-1)*m) rows per sample, (r-1) aggregated.
+        p_x + p_u columns per coupled state, drift columns zero, and
+        (r-1)*m rows.
         """
         levels = self._entry_levels(xi_tilde)
         m, p_x, p_u = self.d.m, self.ds.p_x, self.ds.p_u
-        if self.mode == "per_sample":
-            # per level and state: the sample weights d_j(Lf^k c)(x_i)
-            parts = [{j: G @ zeta for j, G in level.items()} for level in levels]
-            height, live = m, lambda w: w[self._has_input].any()
-        else:
-            parts = [{j: zeta @ S for j, S in level.items()} for level in levels]
-            height, live = 1, np.any
-        coupled = [j for j in range(self.n) if any(j in part and live(part[j]) for part in parts)]
+        # per level and state: the sample weights d_j(Lf^k c)(x_i)
+        parts = [{j: G @ zeta for j, G in level.items()} for level in levels]
+        coupled = [
+            j for j in range(self.n)
+            if any(j in part and part[j][self._has_input].any() for part in parts)
+        ]
         block = p_x + p_u
-        C = np.zeros((len(parts) * height, len(coupled) * block))
+        C = np.zeros((len(parts) * m, len(coupled) * block))
         for s, j in enumerate(coupled):
             for k, part in enumerate(parts):
                 if j in part:
-                    rows = C[k * height : (k + 1) * height, s * block + p_x : (s + 1) * block]
-                    if self.mode == "aggregated":
-                        rows[0] = part[j]
-                    else:
-                        np.multiply(part[j][:, None], self.tg, out=rows)
+                    rows = C[k * m : (k + 1) * m, s * block + p_x : (s + 1) * block]
+                    np.multiply(part[j][:, None], self.tg, out=rows)
         return coupled, C
 
     def zeta_rows(self, xi_tilde: np.ndarray, xi_hat: np.ndarray) -> np.ndarray:
-        """Constraint rows over the output coefficients.
-
-        ((r-1)*m) x p_y per sample, (r-1) x p_y aggregated.
-        """
+        """Constraint rows over the output coefficients: (r-1)*m x p_y."""
         levels = self._entry_levels(xi_tilde)
-        p_y = self.ds.p_y
-        if self.mode == "aggregated":
-            return np.array([
-                _sum_terms([S @ xi_hat[:, j] for j, S in level.items()], p_y)
-                for level in levels
-            ])
         g = {j: self.tg @ xi_hat[:, j] for j in range(self.n)}
         return np.vstack([
-            _sum_terms([g[j][:, None] * G for j, G in level.items()], (self.d.m, p_y))
+            _sum_terms([g[j][:, None] * G for j, G in level.items()], (self.d.m, self.ds.p_y))
             for level in levels
         ])
 
     def residuals(self, zeta: np.ndarray, xi_tilde: np.ndarray, xi_hat: np.ndarray) -> np.ndarray:
-        """Residual of every chain level: (r-1) x m per sample, (r-1) aggregated."""
+        """Residual of every chain level at every sample: (r-1) x m."""
         levels = self._entry_levels(xi_tilde)
-        if self.mode == "aggregated":
-            return np.array([
-                _sum_terms([(zeta @ S) @ xi_hat[:, j] for j, S in level.items()], ())
-                for level in levels
-            ])
         g = {j: self.tg @ xi_hat[:, j] for j in range(self.n)}
         return np.array([
             _sum_terms([(G @ zeta) * g[j] for j, G in level.items()], self.d.m)
@@ -444,8 +404,8 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     sequential thresholded least squares; when the relative-degree
     constraint is enabled the solver then alternates constrained steps
     (each linear in its block) until the coefficients stop moving, the
-    returned model satisfies the constraint to ``constraint_tol`` in the
-    selected mode, and the output coefficients are rescaled so their
+    returned model satisfies the constraint to ``constraint_tol`` at every
+    sample, and the output coefficients are rescaled so their
     largest entry is exactly 1 (the constraint only pins the zeta/xi_hat
     product up to a common factor).
     """
@@ -459,8 +419,6 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     p_x, p_u = ds.p_x, ds.p_u
     block = p_x + p_u
     theta = ds.theta
-    hard = cfg.solver_mode == "alternating_constrained"
-    rho = cfg.penalty_weight
     notes: list[str] = []
     info = _StlsInfo()
 
@@ -477,8 +435,7 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     def zeta_stls(constraint=None):
         return _stls(
             ds.phi, d.Y, cfg.lam, cfg.max_outer_iters,
-            constraint=constraint, hard=hard, rho=rho,
-            column_scale=phi_scale, info=info, what="the output equation",
+            constraint=constraint, column_scale=phi_scale, info=info, what="the output equation",
         )
 
     joint: dict[tuple[int, ...], tuple] = {}
@@ -495,8 +452,7 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
         a, z, scale = joint[key]
         w = _stls(
             a, z, cfg.lam, cfg.max_outer_iters,
-            constraint=constraint, hard=hard, rho=rho,
-            column_scale=scale, info=info,
+            constraint=constraint, column_scale=scale, info=info,
             what="state equation " + ", ".join(f"dx{j + 1}/dt" for j in states),
         )
         return [w[s * block : (s + 1) * block] for s in range(len(states))]
@@ -516,7 +472,7 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
                 "input is identically zero; the relative-degree constraint is vacuous",
                 stacklevel=2,
             )
-        gc = GeneralConstraint(ds, d, cfg.relative_degree, cfg.constraint_mode)
+        gc = GeneralConstraint(ds, d, cfg.relative_degree)
         for alt_iters in range(1, cfg.max_alt_iters + 1):
             prev = np.concatenate([np.concatenate(W), zeta])
             # state step: the coupled states jointly, chain frozen at the

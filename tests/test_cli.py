@@ -130,6 +130,34 @@ def test_identify_estimates_missing_derivatives(tmp_path, dataset_path):
     assert "estimated" in (tmp_path / "identify_report.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "regression, named",
+    [
+        ({"solver_mode": "penalty"}, "solver_mode"),
+        ({"penalty_weight": 1e8}, "penalty_weight"),
+        ({"constraint_mode": "aggregated"}, "aggregated"),
+        ({"lambda": float("nan")}, "lam"),
+        ({"constraint_tol": float("nan")}, "constraint_tol"),
+        ({"max_outer_iters": 0}, "max_outer_iters"),
+    ],
+    ids=[
+        "solver_mode", "penalty_weight", "aggregated",
+        "lambda-nan", "constraint_tol-nan", "max_outer_iters-0",
+    ],
+)
+def test_bad_regression_settings_are_config_errors(
+    tmp_path, dataset_path, capsys, regression, named
+):
+    # removed modes, and values json reads but no solve can use: a NaN
+    # lambda used to return a fully dense model with exit 0, and zero
+    # sweeps failed as an identification (exit 3)
+    cfg = write_config(tmp_path, {"regression": regression})
+    code = run(["identify", "--data", dataset_path, "--config", cfg, "--out", tmp_path])
+    assert code == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_identify_missing_dataset_is_config_error(tmp_path):
     code = run(["identify", "--data", tmp_path / "nope.csv", "--out", tmp_path])
     assert code == EXIT_CONFIG
@@ -273,6 +301,9 @@ def test_pipeline_end_to_end(tmp_path):
     }
     assert expected_files <= set(summary["outputs"])
     overlay = list(csv.DictReader((out / "identified_vs_true.csv").open()))
+    # the true columns are the identification data itself
+    dataset = list(csv.DictReader((out / "dataset.csv").open()))
+    assert [r["x1_true"] for r in overlay] == [r["x1"] for r in dataset]
     drift = max(
         abs(float(r["x1_true"]) - float(r["x1_identified"])) for r in overlay
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -68,15 +70,21 @@ def true_vdp_coefficients(ds):
 def test_stacked_dimensions(vdp_dicts, vdp_data):
     # the state step's constraint has one [xi_tilde_j; xi_hat_j] block of
     # p_x + p_u = 20 columns per coupled state; y = x1 at r = 2 couples
-    # state 1 alone, with one row per sample or one summed row
+    # state 1 alone, with one row per sample
     xi_tilde, _, zeta = true_vdp_coefficients(vdp_dicts)
     states, C = GeneralConstraint(vdp_dicts, vdp_data, 2).state_rows(zeta, xi_tilde)
     assert states == [0]
     assert C.shape == (100, 20)
-    gc = GeneralConstraint(vdp_dicts, vdp_data, 2, "aggregated")
-    states, C = gc.state_rows(zeta, xi_tilde)
-    assert states == [0]
-    assert C.shape == (1, 20)
+    # at r = 3 a dense random drift carries Lf c to every state: two levels
+    # of m rows over all three blocks
+    d = random_dataset(m=30, n=3, seed=5)
+    ds = build_dictionaries(LibrarySpec(poly_order=2), d)
+    rng = np.random.default_rng(8)
+    xi_tilde = rng.uniform(-1, 1, size=(ds.p_x, 3))
+    zeta = rng.uniform(-1, 1, size=ds.p_y)
+    states, C = GeneralConstraint(ds, d, 3).state_rows(zeta, xi_tilde)
+    assert states == [0, 1, 2]
+    assert C.shape == (2 * d.m, 3 * (ds.p_x + ds.p_u))
 
 
 def test_stacked_off_diagonal_blocks_are_zero():
@@ -139,34 +147,6 @@ def test_constraint_single_sample_outer_product():
     assert C.shape == (2, 0)
 
 
-def test_constraint_aggregate_is_sum_of_outer_products():
-    # aggregated rows and residuals are the sums of the per-sample ones; at
-    # r = 3 the dense random drift carries Lf c to every state
-    for n, r, coupled in [(2, 2, [0]), (3, 3, [0, 1, 2])]:
-        d = random_dataset(m=30, n=n, seed=5)
-        ds = build_dictionaries(LibrarySpec(poly_order=2), d)
-        rng = np.random.default_rng(8)
-        xi_tilde = rng.uniform(-1, 1, size=(ds.p_x, n))
-        xi_hat = rng.uniform(-1, 1, size=(ds.p_u, n))
-        zeta = rng.uniform(-1, 1, size=ds.p_y)
-        per = GeneralConstraint(ds, d, r)
-        agg = GeneralConstraint(ds, d, r, "aggregated")
-
-        def summed(rows):
-            return rows.reshape(r - 1, d.m, -1).sum(axis=1)
-
-        states, C = per.state_rows(zeta, xi_tilde)
-        states_agg, C_agg = agg.state_rows(zeta, xi_tilde)
-        assert states == states_agg == coupled
-        assert np.allclose(C_agg, summed(C), rtol=1e-12, atol=1e-10)
-        D = per.zeta_rows(xi_tilde, xi_hat)
-        assert np.allclose(agg.zeta_rows(xi_tilde, xi_hat), summed(D), rtol=1e-12, atol=1e-10)
-        res = per.residuals(zeta, xi_tilde, xi_hat)
-        assert np.allclose(
-            agg.residuals(zeta, xi_tilde, xi_hat), res.sum(axis=1), rtol=1e-12, atol=1e-10
-        )
-
-
 def test_constraint_zero_input_warns():
     # a zero input makes every input-library column zero: solve warns, and no
     # state is coupled, so the constraint holds exactly
@@ -199,6 +179,32 @@ def test_threshold_all_below_flags_infeasible():
     result = threshold_pass(np.array([0.01, -0.02]), 0.5)
     assert np.all(result.values == 0.0)
     assert result.infeasible
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -0.1])
+def test_threshold_rejects_bad_lambda(lam):
+    # NaN compares false with everything: it used to keep every column
+    with pytest.raises(ValueError, match="lam"):
+        threshold_pass(np.array([0.3, -0.001]), lam)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lam", math.nan),
+        ("lam", math.inf),
+        ("constraint_tol", math.nan),
+        ("constraint_tol", math.inf),
+        ("coef_tol", math.nan),
+        ("coef_tol", -math.inf),
+        ("max_outer_iters", 0),
+        ("max_alt_iters", 0),
+        ("relative_degree", 0),
+    ],
+)
+def test_regression_config_rejects_bad_setting(field, value):
+    with pytest.raises(ValueError, match=field):
+        RegressionConfig(**{field: value})
 
 
 # -- solver: oracle equivalence ------------------------------------------------------------
@@ -236,7 +242,7 @@ def test_constrained_solve_matches_kkt_oracle():
         A = rng.normal(size=(m, p))
         z = rng.normal(size=m)
         C = rng.normal(size=(q, p))
-        w = _constrained_solve(A, z, C, hard=True, rho=0.0)
+        w = _constrained_solve(A, z, C)
         kkt = np.block([[A.T @ A, C.T], [C, np.zeros((q, q))]])
         rhs = np.concatenate([A.T @ z, np.zeros(q)])
         w_kkt = np.linalg.solve(kkt, rhs)[:p]
@@ -275,18 +281,6 @@ def test_null_space_of_tall_rank_deficient_constraint():
     assert peak < 16 * 2**20
 
 
-def test_penalty_solve_approaches_hard_solution():
-    from sparsefl.regression import _constrained_solve
-
-    rng = np.random.default_rng(3)
-    A = rng.normal(size=(30, 6))
-    z = rng.normal(size=30)
-    C = rng.normal(size=(2, 6))
-    hard = _constrained_solve(A, z, C, hard=True, rho=0.0)
-    soft = _constrained_solve(A, z, C, hard=False, rho=1e10)
-    assert np.linalg.norm(soft - hard) <= 1e-3 * max(1.0, np.linalg.norm(hard))
-
-
 # -- solver: Van der Pol recovery ------------------------------------------------------------
 
 
@@ -318,28 +312,6 @@ def test_vdp_constraint_residual_and_zero_g1(vdp_dicts, vdp_data):
     assert model.diagnostics.constraint_residual <= 1e-6
     assert model.g[0].is_zero()
     assert np.all(model.xi_hat[:, 0] == 0.0)
-
-
-def test_vdp_aggregated_mode(vdp_dicts, vdp_data):
-    cfg = RegressionConfig(constraint_mode="aggregated")
-    model = solve(vdp_dicts, vdp_data, cfg)
-    assert model.diagnostics.constraint_residual <= 1e-6
-    assert model.g[0].is_zero()
-
-
-def test_vdp_penalty_mode(vdp_dicts, vdp_data):
-    cfg = RegressionConfig(solver_mode="penalty")
-    model = solve(vdp_dicts, vdp_data, cfg)
-    assert model.diagnostics.constraint_residual <= 1e-6
-    assert abs(model.xi_tilde[vdp_dicts.labels_f().index("x1"), 1] + 1.0) <= 0.05
-
-
-def test_chain_r3_penalty_mode():
-    sys, d = chain3_data()
-    ds = build_dictionaries(LibrarySpec(poly_order=2, output_poly_order=3), d)
-    model = solve(ds, d, RegressionConfig(relative_degree=3, solver_mode="penalty"))
-    assert model.diagnostics.constraint_residual <= 1e-6
-    assert discovered_equations(model)[2] == "dx3/dt = u"
 
 
 def test_normalize_columns_variant(vdp_data):
@@ -542,9 +514,9 @@ def test_general_constraint_matches_bilinear_factors(vdp_dicts, vdp_data):
 
 def test_general_constraint_true_vdp_residuals(vdp_dicts, vdp_data):
     xi_tilde, xi_hat, zeta = true_vdp_coefficients(vdp_dicts)
-    for mode in ("per_sample", "aggregated"):
-        gc = GeneralConstraint(vdp_dicts, vdp_data, 2, mode)
-        assert np.max(np.abs(gc.residuals(zeta, xi_tilde, xi_hat))) <= 1e-10
+    res = GeneralConstraint(vdp_dicts, vdp_data, 2).residuals(zeta, xi_tilde, xi_hat)
+    assert res.shape == (1, vdp_data.m)
+    assert np.max(np.abs(res)) <= 1e-10
 
 
 def test_general_constraint_gradient_samples_match_per_sample_loop():
@@ -603,32 +575,18 @@ def test_chain_integrator_r3_identification():
     assert abs(chain.lg_mixed[2].constant_value() - 1.0) <= 0.05
 
 
-def test_chain_integrator_r3_aggregated_mode():
-    sys, d = chain3_data()
-    ds = build_dictionaries(LibrarySpec(poly_order=2, output_poly_order=3), d)
-    model = solve(
-        ds, d, RegressionConfig(relative_degree=3, constraint_mode="aggregated")
-    )
-    assert model.diagnostics.constraint_residual <= 1e-6
-    assert discovered_equations(model) == [
-        "dx1/dt = x2", "dx2/dt = x3", "dx3/dt = u", "y = x1",
-    ]
-
-
 @pytest.mark.parametrize(
-    "plant, mode, rows_per_level",
+    "plant, rows_per_level",
     [
-        pytest.param("chain3", "aggregated", 1, id="aggregated-1"),
-        pytest.param("chain3", "per_sample", 200, id="per_sample-200"),
-        pytest.param("vdp", "aggregated", 1, id="vdp-aggregated-1"),
-        pytest.param("vdp", "per_sample", 100, id="vdp-per_sample-100"),
+        pytest.param("chain3", 200, id="per_sample-200"),
+        pytest.param("vdp", 100, id="vdp-per_sample-100"),
     ],
 )
 def test_chain_integrator_r3_constraint_rows_follow_mode(
-    monkeypatch, vdp_dicts, vdp_data, plant, mode, rows_per_level
+    monkeypatch, vdp_dicts, vdp_data, plant, rows_per_level
 ):
-    # aggregated enforces one summed row per chain level, per_sample one row
-    # per sample and level; both in the state step and the output step
+    # every solve of the state step and the output step enforces one row per
+    # sample and chain level
     import sparsefl.regression as regression
 
     if plant == "chain3":
@@ -639,13 +597,13 @@ def test_chain_integrator_r3_constraint_rows_follow_mode(
     rows = []
     inner = regression._constrained_solve
 
-    def spy(A, z, C, hard, rho):
+    def spy(A, z, C):
         if C is not None:
             rows.append(C.shape[0])
-        return inner(A, z, C, hard, rho)
+        return inner(A, z, C)
 
     monkeypatch.setattr(regression, "_constrained_solve", spy)
-    solve(ds, d, RegressionConfig(relative_degree=r, constraint_mode=mode))
+    solve(ds, d, RegressionConfig(relative_degree=r))
     assert rows and set(rows) == {(r - 1) * rows_per_level}
 
 
@@ -655,10 +613,9 @@ def test_chain_integrator_r3_hand_residuals():
     sys, d = chain3_data()
     ds = build_dictionaries(LibrarySpec(poly_order=2, output_poly_order=3), d)
     xi_tilde, xi_hat, zeta = true_chain3_coefficients(ds)
-    for mode in ("per_sample", "aggregated"):
-        res = GeneralConstraint(ds, d, 3, mode).residuals(zeta, xi_tilde, xi_hat)
-        assert res.shape[0] == 2
-        assert np.max(np.abs(res)) <= 1e-10
+    res = GeneralConstraint(ds, d, 3).residuals(zeta, xi_tilde, xi_hat)
+    assert res.shape == (2, d.m)
+    assert np.max(np.abs(res)) <= 1e-10
 
 
 # -- coupled states ------------------------------------------------------------------------
@@ -680,13 +637,12 @@ def test_uncoupled_state_keeps_unconstrained_solution(vdp_dicts, vdp_data, plant
     assert np.array_equal(constrained.xi_hat[:, state], free.xi_hat[:, state])
 
 
-@pytest.mark.parametrize("mode", ["per_sample", "aggregated"])
-def test_constant_output_skips_state_step(vdp_data, mode):
+def test_constant_output_skips_state_step(vdp_data):
     # Y = 1 fits zeta = e_0, c = 1, whose chain has no gradient: no input
     # channel enters the constraint and every state keeps its initialization
     d = Dataset(vdp_data.times, vdp_data.X, vdp_data.U, np.ones(vdp_data.m), Xdot=vdp_data.Xdot)
     ds = build_dictionaries(LibrarySpec(), d)
-    model = solve(ds, d, RegressionConfig(constraint_mode=mode))
+    model = solve(ds, d, RegressionConfig())
     free = solve(ds, d, RegressionConfig(constraint_mode="none"))
     assert model.c == Expression.constant(1.0, 2)
     assert model.diagnostics.constraint_residual == 0.0
