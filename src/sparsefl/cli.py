@@ -22,9 +22,11 @@ Exit codes: 0 success, 2 config error, 3 identification infeasible,
 from __future__ import annotations
 
 import argparse
+import cmath
 import copy
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -117,7 +119,10 @@ def _check_keys(section: dict, allowed: dict, path: str) -> None:
 
 
 class PipelineConfig:
-    """Validated configuration; unknown keys are rejected."""
+    """Every config section, merged over the defaults and built into typed values.
+
+    Any bad value is a :class:`ConfigError` here, before a stage runs.
+    """
 
     def __init__(self, raw: dict):
         merged = default_config()
@@ -127,9 +132,9 @@ class PipelineConfig:
                 merged[key].update(value)
             else:
                 merged[key] = value
-        self.raw = merged
         try:
             self.system = self._build_system(merged["system"])
+            self.simulation = self._build_run(merged["simulation"])
             self.excitation = self._build_excitation(merged["excitation"])
             self.library = LibrarySpec(
                 poly_order=int(merged["library"]["poly_order"]),
@@ -150,42 +155,70 @@ class PipelineConfig:
                 constraint_mode=str(reg["constraint_mode"]),
                 relative_degree=int(reg["relative_degree"]),
             )
-        except (ValueError, KeyError, TypeError) as exc:
+            self.gains, self.poles = self._build_controller(merged["controller"])
+            self.scenarios = {
+                name: (
+                    *self._build_run(merged[name]),
+                    self._build_reference(merged[name]["reference"]),
+                )
+                for name in ("stabilization", "tracking")
+            }
+            self.seed = int(merged["seed"])
+            self.out_dir = Path(merged["out_dir"])
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
-        self.seed = int(merged["seed"])
-        self.out_dir = Path(merged["out_dir"])
 
     @staticmethod
     def _build_system(section: dict) -> ControlAffineSystem:
-        name = section.get("name")
+        name = section["name"]
         if name == "vdp":
             return dynamics.vdp_system(
-                float(section.get("theta", 1.0)),
-                float(section.get("sigma", 1.0)),
-                float(section.get("mu", 1.0)),
+                float(section["theta"]), float(section["sigma"]), float(section["mu"])
             )
         if name == "chain3":
             return dynamics.chain_integrator_system(3)
         raise ConfigError(f"unknown system {name!r} (available: vdp, chain3)")
 
+    def _build_run(self, section: dict) -> tuple[np.ndarray, float, int]:
+        dt, steps = float(section["dt"]), int(section["steps"])
+        return dynamics.check_run(self.system.n, section["x0"], dt, steps), dt, steps
+
     @staticmethod
     def _build_excitation(section: dict) -> InputSignal:
-        kind = section.get("kind", "sine_sum")
+        kind = section["kind"]
         if kind == "zero":
             return dynamics.zero_input()
         if kind == "constant":
-            return dynamics.constant_input(float(section.get("amplitudes", [1.0])[0]))
+            return dynamics.constant_input(float(section["amplitudes"][0]))
         if kind == "sine_sum":
             return dynamics.sine_sum_input(
-                section["amplitudes"], section["frequencies"], section.get("phases")
+                section["amplitudes"], section["frequencies"], section["phases"]
             )
         if kind == "chirp":
             return dynamics.chirp_input(
                 float(section["amplitudes"][0]),
                 float(section["frequencies"][0]),
-                float(section.get("rate", 1.0)),
+                float(section["rate"]),
             )
         raise ConfigError(f"unknown excitation kind {kind!r}")
+
+    @staticmethod
+    def _build_controller(section: dict) -> tuple[tuple | None, tuple | None]:
+        """``(gains, poles)`` with exactly one set; ``poles`` wins when both are."""
+        gains, poles = section["gains"], section["poles"]
+        if poles is not None:
+            gains = None
+            poles = tuple(
+                complex(*p) if isinstance(p, list) and len(p) == 2 else complex(p) for p in poles
+            )
+        elif gains is not None:
+            gains = tuple(float(a) for a in gains)
+        else:
+            raise ConfigError("controller section must set gains or poles")
+        values = gains if poles is None else poles
+        if not all(map(cmath.isfinite, values)):
+            raise ConfigError(f"controller gains and poles must be finite, got {values}")
+        return gains, poles
 
     @staticmethod
     def _build_reference(section: dict) -> ReferenceSignal:
@@ -202,29 +235,40 @@ class PipelineConfig:
             )
         raise ConfigError(f"unknown reference kind {kind!r}")
 
-    def scenario(self, name: str) -> tuple[np.ndarray, float, int, ReferenceSignal]:
-        section = self.raw[name]
-        return (
-            np.array(section["x0"], dtype=float),
-            float(section["dt"]),
-            int(section["steps"]),
-            self._build_reference(section["reference"]),
-        )
+
+def _finite_object(pairs: list) -> dict:
+    """``object_pairs_hook`` that rejects a NaN, an Infinity or a literal like 1e400."""
+
+    def non_finite(value) -> bool:
+        if isinstance(value, list):
+            return any(map(non_finite, value))
+        return isinstance(value, float) and not math.isfinite(value)
+
+    for key, value in pairs:
+        if non_finite(value):
+            raise ValueError(f"{key!r} holds a non-finite number")
+    return dict(pairs)
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_json(path: str | Path, what: str, build=dict):
+    """Read ``path`` as a JSON object of finite numbers and ``build`` it.
+
+    Every failure is a :class:`ConfigError` that names ``what`` and ``path``.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            payload = json.load(fh, object_pairs_hook=_finite_object)
+        if not isinstance(payload, dict):
+            raise ValueError("not a JSON object")
+        return build(payload)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        raise ConfigError(f"{what} not found: {path}") from None
+    except (KeyError, TypeError, ValueError) as exc:  # bad JSON and bad UTF-8 included
+        raise ConfigError(f"{what} {path} is corrupted: {exc}") from None
 
 
 def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
+    _check_keys(raw, _DEFAULT_CONFIG, "")  # the flags write into sections: they must be objects
     if getattr(args, "lam", None) is not None:
         raw.setdefault("regression", {})["lambda"] = args.lam
     if getattr(args, "gains", None) is not None:
@@ -273,26 +317,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             )
 
 
-def _read_model(path: str) -> SparseModel:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return regression.model_from_dict(payload)
-    except FileNotFoundError:
-        raise ConfigError(f"model file not found: {path}") from None
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise ConfigError(f"model stage input {path} is corrupted: {exc}") from None
-
-
-def _read_controller(path: str) -> control.ControllerSpec:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return control.ControllerSpec.from_dict(payload)
-    except FileNotFoundError:
-        raise ConfigError(f"controller file not found: {path}") from None
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise ConfigError(f"controller stage input {path} is corrupted: {exc}") from None
+def _read_model(path: Path) -> SparseModel:
+    return _load_json(path, "model stage input", regression.model_from_dict)
 
 
 # -- stages ---------------------------------------------------------------------
@@ -300,20 +326,14 @@ def _read_controller(path: str) -> control.ControllerSpec:
 
 def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> tuple[Path, data.Dataset]:
     """Integrate the plant under the excitation; write dataset.csv and return it."""
-    sim = cfg.raw["simulation"]
     if cfg.excitation.kind == "zero" and cfg.regression.constraint_enabled:
         print(
             "warning: zero excitation with the relative-degree constraint enabled "
             "downstream makes the constraint vacuous",
             file=sys.stderr,
         )
-    ds = dynamics.integrate(
-        cfg.system,
-        np.array(sim["x0"], dtype=float),
-        cfg.excitation,
-        float(sim["dt"]),
-        int(sim["steps"]),
-    )
+    x0, dt, steps = cfg.simulation
+    ds = dynamics.integrate(cfg.system, x0, cfg.excitation, dt, steps)
     out = out_dir / "dataset.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     data.save_csv(ds, out)
@@ -354,7 +374,7 @@ def cmd_identify(dataset_path: Path, cfg: PipelineConfig, out_dir: Path) -> Path
 
 
 def cmd_lie(model_path: Path, out_dir: Path) -> lie.LieChain:
-    model = _read_model(str(model_path))
+    model = _read_model(model_path)
     system = model.system()
     chain = lie.relative_degree(system)
     payload = {
@@ -396,40 +416,28 @@ def cmd_lie(model_path: Path, out_dir: Path) -> lie.LieChain:
 
 
 def cmd_synthesize(model_path: Path, cfg: PipelineConfig, out_dir: Path) -> Path:
-    model = _read_model(str(model_path))
+    model = _read_model(model_path)
     system = model.system()
     chain = lie.relative_degree(system)
-    section = cfg.raw["controller"]
-    gains = section.get("gains")
-    poles_raw = section.get("poles")
-    if poles_raw is not None:
-        poles = [
-            complex(p[0], p[1]) if isinstance(p, (list, tuple)) else complex(p)
-            for p in poles_raw
-        ]
-        spec = control.synthesize(chain, poles=poles)
-    elif gains is not None:
-        spec = control.synthesize(chain, gains=[float(a) for a in gains])
-    else:
-        raise ConfigError("controller section must set gains or poles")
+    spec = control.synthesize(chain, gains=cfg.gains, poles=cfg.poles)
     _write_json(out_dir / "controller.json", spec.to_dict())
     return out_dir / "controller.json"
 
 
 def cmd_closedloop(
     controller_path: Path, cfg: PipelineConfig, out_dir: Path, scenario: str
-) -> Path:
-    spec = _read_controller(str(controller_path))
-    x0, dt, steps, reference = cfg.scenario(scenario)
+) -> data.Dataset:
+    """Run ``scenario`` under the saved controller; write ``<scenario>.csv`` and return it."""
+    spec = _load_json(controller_path, "controller stage input", control.ControllerSpec.from_dict)
+    x0, dt, steps, reference = cfg.scenarios[scenario]
     traj = dynamics.simulate_closed_loop(cfg.system, spec, reference, x0, dt, steps)
-    out = out_dir / f"{scenario}.csv"
     header = ["t"] + [f"x{i + 1}" for i in range(traj.n)] + ["u", "y", "r"]
     rows = []
     for i in range(traj.m):
         row = [traj.times[i], *traj.X[i], traj.U[i], traj.Y[i], reference.value(traj.times[i])]
         rows.append(row)
-    _write_csv(out, header, rows)
-    return out
+    _write_csv(out_dir / f"{scenario}.csv", header, rows)
+    return traj
 
 
 def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
@@ -437,15 +445,13 @@ def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
     model_path = cmd_identify(dataset_path, cfg, out_dir)
     chain = cmd_lie(model_path, out_dir)
     controller_path = cmd_synthesize(model_path, cfg, out_dir)
-    stabilization_path = cmd_closedloop(controller_path, cfg, out_dir, "stabilization")
+    stabilization = cmd_closedloop(controller_path, cfg, out_dir, "stabilization")
     cmd_closedloop(controller_path, cfg, out_dir, "tracking")
 
     # overlay of the true plant (the identification data) and the identified
     # model from the same start
-    model = _read_model(str(model_path))
-    sim = cfg.raw["simulation"]
-    x0 = np.array(sim["x0"], dtype=float)
-    dt, steps = float(sim["dt"]), int(sim["steps"])
+    model = _read_model(model_path)
+    x0, dt, steps = cfg.simulation
     ident_traj = dynamics.integrate(model.system(), x0, cfg.excitation, dt, steps)
     header = (
         ["t"]
@@ -457,7 +463,7 @@ def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
     ]
     _write_csv(out_dir / "identified_vs_true.csv", header, rows)
 
-    summary = _summarize(cfg, model, chain, out_dir, stabilization_path)
+    summary = _summarize(cfg, model, chain, out_dir, stabilization)
     _write_json(out_dir / "summary.json", summary)
     lines = ["Pipeline summary", "=" * 40]
     for key, value in summary.items():
@@ -471,7 +477,7 @@ def _summarize(
     model: SparseModel,
     chain: lie.LieChain,
     out_dir: Path,
-    stabilization_path: Path,
+    stabilization: data.Dataset,
 ) -> dict:
     # coefficient error against the configured true plant
     true_sys = cfg.system
@@ -481,17 +487,8 @@ def _summarize(
         diff_g = model.g[l] - true_sys.g[l]
         max_err = max(max_err, diff_f.max_abs_coefficient(), diff_g.max_abs_coefficient())
 
-    with stabilization_path.open(encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        last = None
-        max_u = 0.0
-        u_idx = header.index("u")
-        for row in reader:
-            last = row
-            max_u = max(max_u, abs(float(row[u_idx])))
-    final_state = [float(v) for v in last[1 : 1 + true_sys.n]]
-    final_norm = float(np.linalg.norm(final_state))
+    final_norm = float(np.linalg.norm(stabilization.X[-1]))
+    max_u = float(np.max(np.abs(stabilization.U)))
 
     outputs = {p.name for p in out_dir.iterdir() if p.is_file()}
     outputs.update({"summary.json", "summary.txt"})  # written right after
@@ -585,8 +582,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(text)
             return EXIT_OK
 
-        raw = _apply_overrides(_load_config_file(args.config), args)
-        cfg = PipelineConfig(raw)
+        raw = _load_json(args.config, "config file") if args.config else {}
+        cfg = PipelineConfig(_apply_overrides(raw, args))
         out_dir = cfg.out_dir
         out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -603,8 +600,8 @@ def main(argv: list[str] | None = None) -> int:
             path = cmd_synthesize(Path(args.model), cfg, out_dir)
             print(f"wrote {path}")
         elif args.command == "closedloop":
-            path = cmd_closedloop(Path(args.controller), cfg, out_dir, args.scenario)
-            print(f"wrote {path}")
+            cmd_closedloop(Path(args.controller), cfg, out_dir, args.scenario)
+            print(f"wrote {out_dir / (args.scenario + '.csv')}")
         elif args.command == "pipeline":
             summary = cmd_pipeline(cfg, out_dir)
             print(json.dumps(summary, indent=2, sort_keys=True))

@@ -147,16 +147,6 @@ class ControllerSpec:
             raise ControlSingularityError(f"control law produced non-finite value at x={list(x)}")
         return u
 
-    def state_law(self) -> Expression | None:
-        """Pure-state part (-alpha - sum a_i Lf^i c)/beta when beta is constant."""
-        if not self.beta.is_constant():
-            return None
-        b = self.beta.constant_value()
-        expr = -self.alpha
-        for i in range(self.relative_degree):
-            expr = expr + (-self.gains[i]) * self.lf_chain[i]
-        return expr * (1.0 / b)
-
     def law_string(self, digits: int | None = 4) -> str:
         """Grouped display of the law with reference-derivative slots."""
 

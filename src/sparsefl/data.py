@@ -182,14 +182,14 @@ def save_csv(d: Dataset, path: str | Path) -> None:
             writer.writerow(row)
 
 
-def estimate_derivatives(d: Dataset, overwrite: bool = False) -> Dataset:
+def estimate_derivatives(d: Dataset) -> Dataset:
     """Fill ``Xdot`` with second-order finite differences.
 
     Interior points use central differences; both ends use one-sided
     three-point stencils of the same order. A Dataset that already carries
-    measured derivatives is returned unchanged unless ``overwrite`` is set.
+    measured derivatives is returned unchanged.
     """
-    if d.Xdot is not None and not overwrite:
+    if d.Xdot is not None:
         return d
     if d.m < 3:
         raise DatasetError(f"need at least 3 samples to estimate derivatives, got {d.m}")

@@ -29,6 +29,7 @@ __all__ = [
     "feedback_input",
     "vdp_system",
     "chain_integrator_system",
+    "check_run",
     "integrate",
     "simulate_closed_loop",
 ]
@@ -170,6 +171,18 @@ def chain_integrator_system(n: int) -> ControlAffineSystem:
     return ControlAffineSystem(f=f, g=g, c=Expression.variable(0, n), n=n)
 
 
+def check_run(n: int, x0: Sequence[float], dt: float, steps: int) -> np.ndarray:
+    """Check a run's start, step and length for an ``n``-state system; return x0 as an array."""
+    if not 0 < dt < math.inf:  # a NaN fails the comparison too
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if steps < 2:
+        raise ValueError(f"steps must be at least 2, got {steps}")
+    x = np.array(x0, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"x0 must have {n} components, got shape {x.shape}")
+    return x
+
+
 def integrate(
     sys: ControlAffineSystem,
     x0: Sequence[float],
@@ -184,14 +197,7 @@ def integrate(
     c(x). Raises :class:`DivergenceError` naming the step where the state
     first becomes non-finite.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if steps < 2:
-        raise ValueError(f"steps must be at least 2, got {steps}")
-    x = np.array(x0, dtype=float)
-    if x.shape != (sys.n,):
-        raise ValueError(f"x0 must have {sys.n} components, got shape {x.shape}")
-
+    x = check_run(sys.n, x0, dt, steps)
     m = steps + 1
     times = np.arange(m) * dt
     X = np.empty((m, sys.n))

@@ -69,24 +69,16 @@ class LieChain:
         return self.c.n_states
 
 
-def relative_degree(
-    sys: ControlAffineSystem,
-    tol: float = DEFAULT_ZERO_TOL,
-    max_r: int | None = None,
-) -> LieChain:
-    """Find the smallest r with Lg Lf^(r-1) c nonzero (up to ``max_r``).
+def relative_degree(sys: ControlAffineSystem, tol: float = DEFAULT_ZERO_TOL) -> LieChain:
+    """Find the smallest r <= n with Lg Lf^(r-1) c nonzero.
 
-    Returns the populated chain; ``relative_degree`` is None when every
-    mixed derivative up to the bound vanishes.
+    Returns the populated chain; ``relative_degree`` is None when
+    Lg Lf^k c vanishes for every k < n.
     """
-    if max_r is None:
-        max_r = sys.n
-    if max_r < 1:
-        raise ValueError("max_r must be at least 1")
     lf_powers = [sys.c]
     lg_mixed: list[Expression] = []
     r: int | None = None
-    for k in range(max_r):
+    for k in range(sys.n):
         lg_k = lie_g(lf_powers[k], sys)
         lg_mixed.append(lg_k)
         if not lg_k.is_zero(tol):

@@ -200,16 +200,6 @@ class Expression:
     def depends_on_input(self) -> bool:
         return any(t.input_power for t in self.terms)
 
-    def coefficient_of(self, other: "Expression") -> float:
-        """Coefficient of a single-term expression's signature inside self (0 if absent)."""
-        if len(other.terms) != 1:
-            raise ValueError("coefficient_of expects a single-term expression")
-        sig = other.terms[0].signature
-        for t in self.terms:
-            if t.signature == sig:
-                return t.coefficient / other.terms[0].coefficient
-        return 0.0
-
     def max_abs_coefficient(self) -> float:
         return max((abs(t.coefficient) for t in self.terms), default=0.0)
 

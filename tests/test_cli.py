@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from sparsefl.cli import (
     EXIT_RELATIVE_DEGREE,
     main,
 )
+from sparsefl.control import synthesize
+from sparsefl.dynamics import vdp_system
+from sparsefl.lie import relative_degree
 
 
 def run(args):
@@ -90,6 +94,62 @@ def test_chirp_excitation_via_config(tmp_path):
     assert run(["simulate", "--config", cfg, "--out", tmp_path]) == EXIT_OK
     rows = (tmp_path / "dataset.csv").read_text().splitlines()
     assert len(rows) == 101
+
+
+# -- one validation pass ---------------------------------------------------------------------
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "command, raw",
+    [
+        (["pipeline"], {"stabilization": {"reference": {"kind": "bogus"}}}),
+        (["pipeline"], {"controller": {"gains": None, "poles": [[1]]}}),
+        (["pipeline"], {"controller": {"gains": 5}}),
+        (["pipeline"], {"tracking": {"dt": NAN}}),
+        (["simulate"], {"simulation": {"dt": NAN}}),
+        (["pipeline"], {"excitation": {"amplitudes": [NAN, 1.0, 1.0]}}),
+        (["pipeline"], {"tracking": {"x0": [1, 2, 3]}}),
+        (["simulate"], {"controller": {"gains": None, "poles": None}}),
+        (["simulate", "--poles", "-1"], {"controller": 5}),
+        (["simulate", "--lambda", "0.1"], {"regression": None}),
+    ],
+    ids=[
+        "reference-kind", "pole-pair", "gains-not-list", "tracking-dt-nan",
+        "simulation-dt-nan", "amplitude-nan", "tracking-x0-shape", "unused-controller",
+        "poles-flag-into-number", "lambda-flag-into-null",
+    ],
+)
+def test_config_errors_exit_before_any_stage_writes(tmp_path, command, raw):
+    # each of these used to crash (exit 1), report a divergence (exit 4) or
+    # exit 2 only after the earlier stages had written their files
+    cfg = write_config(tmp_path, raw)  # json.dumps writes a NaN as NaN
+    out = tmp_path / "run"
+    assert run([*command, "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert not out.exists() or not any(out.rglob("*"))
+
+
+def test_closedloop_non_finite_gain_is_corrupted_input(tmp_path, capsys):
+    spec = synthesize(relative_degree(vdp_system(1, 1, 1)), gains=[5.0, 4.0]).to_dict()
+    spec["gains"] = [NAN, 4.0]
+    bad = tmp_path / "controller.json"
+    bad.write_text(json.dumps(spec))
+    out = tmp_path / "run"
+    assert run(["closedloop", "--controller", bad, "--out", out]) == EXIT_CONFIG
+    assert "controller stage input" in capsys.readouterr().err
+    assert not any(out.rglob("*"))
+
+
+def test_nested_reference_replaces_the_default_whole(tmp_path):
+    # the default stabilization reference has amplitude 0.0; a nested object
+    # replaces it, so the sinusoid gets its own default amplitude 1.0
+    cfg = write_config(tmp_path, {"stabilization": {"reference": {"kind": "sinusoid"}}})
+    out = tmp_path / "run"
+    assert run(["pipeline", "--config", cfg, "--out", out]) == EXIT_OK
+    rows = list(csv.DictReader((out / "stabilization.csv").open()))
+    assert all(float(r["r"]) == math.sin(float(r["t"])) for r in rows)
+    assert max(abs(float(r["r"])) for r in rows) > 0.99
 
 
 # -- identify ----------------------------------------------------------------------------

