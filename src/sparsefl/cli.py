@@ -216,8 +216,8 @@ class PipelineConfig:
         else:
             raise ConfigError("controller section must set gains or poles")
         values = gains if poles is None else poles
-        if not all(map(cmath.isfinite, values)):
-            raise ConfigError(f"controller gains and poles must be finite, got {values}")
+        if not values or not all(map(cmath.isfinite, values)):
+            raise ConfigError(f"controller gains and poles must be finite, non-empty: {values}")
         return gains, poles
 
     @staticmethod
@@ -317,14 +317,28 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             )
 
 
+def _read_dataset(path: Path) -> data.Dataset:
+    try:
+        return data.load_csv(path)
+    except FileNotFoundError:
+        raise ConfigError(f"dataset file not found: {path}") from None
+    except DatasetError as exc:
+        raise ConfigError(f"identify stage input is corrupted: {exc}") from None
+
+
 def _read_model(path: Path) -> SparseModel:
     return _load_json(path, "model stage input", regression.model_from_dict)
 
 
 # -- stages ---------------------------------------------------------------------
+#
+# Each stage takes the previous stage's result and returns its own, so the
+# pipeline hands results on in memory; the subcommands read them from the
+# files an earlier stage wrote. Both routes write the same bytes, because
+# every float is written with repr and read back exactly.
 
 
-def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> tuple[Path, data.Dataset]:
+def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> data.Dataset:
     """Integrate the plant under the excitation; write dataset.csv and return it."""
     if cfg.excitation.kind == "zero" and cfg.regression.constraint_enabled:
         print(
@@ -334,19 +348,12 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> tuple[Path, data.Dataset
         )
     x0, dt, steps = cfg.simulation
     ds = dynamics.integrate(cfg.system, x0, cfg.excitation, dt, steps)
-    out = out_dir / "dataset.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    data.save_csv(ds, out)
-    return out, ds
+    out_dir.mkdir(parents=True, exist_ok=True)
+    data.save_csv(ds, out_dir / "dataset.csv")
+    return ds
 
 
-def cmd_identify(dataset_path: Path, cfg: PipelineConfig, out_dir: Path) -> Path:
-    try:
-        d = data.load_csv(dataset_path)
-    except FileNotFoundError:
-        raise ConfigError(f"dataset file not found: {dataset_path}") from None
-    except DatasetError as exc:
-        raise ConfigError(f"identify stage input is corrupted: {exc}") from None
+def cmd_identify(d: data.Dataset, cfg: PipelineConfig, out_dir: Path) -> SparseModel:
     derivative_note = "measured derivatives"
     if d.Xdot is None:
         d = data.estimate_derivatives(d)
@@ -370,11 +377,10 @@ def cmd_identify(dataset_path: Path, cfg: PipelineConfig, out_dir: Path) -> Path
     for key, value in model.diagnostics.to_dict().items():
         lines.append(f"  {key}: {value}")
     (out_dir / "identify_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return out_dir / "model.json"
+    return model
 
 
-def cmd_lie(model_path: Path, out_dir: Path) -> lie.LieChain:
-    model = _read_model(model_path)
+def cmd_lie(model: SparseModel, out_dir: Path) -> lie.LieChain:
     system = model.system()
     chain = lie.relative_degree(system)
     payload = {
@@ -415,20 +421,18 @@ def cmd_lie(model_path: Path, out_dir: Path) -> lie.LieChain:
     return chain
 
 
-def cmd_synthesize(model_path: Path, cfg: PipelineConfig, out_dir: Path) -> Path:
-    model = _read_model(model_path)
-    system = model.system()
-    chain = lie.relative_degree(system)
+def cmd_synthesize(
+    chain: lie.LieChain, cfg: PipelineConfig, out_dir: Path
+) -> control.ControllerSpec:
     spec = control.synthesize(chain, gains=cfg.gains, poles=cfg.poles)
     _write_json(out_dir / "controller.json", spec.to_dict())
-    return out_dir / "controller.json"
+    return spec
 
 
 def cmd_closedloop(
-    controller_path: Path, cfg: PipelineConfig, out_dir: Path, scenario: str
+    spec: control.ControllerSpec, cfg: PipelineConfig, out_dir: Path, scenario: str
 ) -> data.Dataset:
-    """Run ``scenario`` under the saved controller; write ``<scenario>.csv`` and return it."""
-    spec = _load_json(controller_path, "controller stage input", control.ControllerSpec.from_dict)
+    """Run ``scenario`` under ``spec``; write ``<scenario>.csv`` and return the trajectory."""
     x0, dt, steps, reference = cfg.scenarios[scenario]
     traj = dynamics.simulate_closed_loop(cfg.system, spec, reference, x0, dt, steps)
     header = ["t"] + [f"x{i + 1}" for i in range(traj.n)] + ["u", "y", "r"]
@@ -441,16 +445,15 @@ def cmd_closedloop(
 
 
 def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
-    dataset_path, true_traj = cmd_simulate(cfg, out_dir)
-    model_path = cmd_identify(dataset_path, cfg, out_dir)
-    chain = cmd_lie(model_path, out_dir)
-    controller_path = cmd_synthesize(model_path, cfg, out_dir)
-    stabilization = cmd_closedloop(controller_path, cfg, out_dir, "stabilization")
-    cmd_closedloop(controller_path, cfg, out_dir, "tracking")
+    true_traj = cmd_simulate(cfg, out_dir)
+    model = cmd_identify(true_traj, cfg, out_dir)
+    chain = cmd_lie(model, out_dir)
+    spec = cmd_synthesize(chain, cfg, out_dir)
+    stabilization = cmd_closedloop(spec, cfg, out_dir, "stabilization")
+    cmd_closedloop(spec, cfg, out_dir, "tracking")
 
     # overlay of the true plant (the identification data) and the identified
     # model from the same start
-    model = _read_model(model_path)
     x0, dt, steps = cfg.simulation
     ident_traj = dynamics.integrate(model.system(), x0, cfg.excitation, dt, steps)
     header = (
@@ -588,19 +591,23 @@ def main(argv: list[str] | None = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
 
         if args.command == "simulate":
-            path, _ = cmd_simulate(cfg, out_dir)
-            print(f"wrote {path}")
+            cmd_simulate(cfg, out_dir)
+            print(f"wrote {out_dir / 'dataset.csv'}")
         elif args.command == "identify":
-            path = cmd_identify(Path(args.data), cfg, out_dir)
-            print(f"wrote {path}")
+            cmd_identify(_read_dataset(Path(args.data)), cfg, out_dir)
+            print(f"wrote {out_dir / 'model.json'}")
         elif args.command == "lie":
-            cmd_lie(Path(args.model), out_dir)
+            cmd_lie(_read_model(Path(args.model)), out_dir)
             print(f"wrote {out_dir / 'lie.json'}")
         elif args.command == "synthesize":
-            path = cmd_synthesize(Path(args.model), cfg, out_dir)
-            print(f"wrote {path}")
+            chain = lie.relative_degree(_read_model(Path(args.model)).system())
+            cmd_synthesize(chain, cfg, out_dir)
+            print(f"wrote {out_dir / 'controller.json'}")
         elif args.command == "closedloop":
-            cmd_closedloop(Path(args.controller), cfg, out_dir, args.scenario)
+            spec = _load_json(
+                args.controller, "controller stage input", control.ControllerSpec.from_dict
+            )
+            cmd_closedloop(spec, cfg, out_dir, args.scenario)
             print(f"wrote {out_dir / (args.scenario + '.csv')}")
         elif args.command == "pipeline":
             summary = cmd_pipeline(cfg, out_dir)

@@ -5,14 +5,17 @@ Three paired libraries are built from a :class:`LibrarySpec`:
 * drift library: constant, all monomials of total degree 1..poly_order
   (graded-lexicographic within each degree block), then sin/cos of integer
   multiples of each single state;
-* input library: exactly the drift entries multiplied by ``u`` (the
-  constant entry becomes the pure ``u`` column);
+* input library: the drift library times the input on the data,
+  ``theta_g = theta_f * u`` sample by sample (the constant entry gives the
+  pure ``u`` column). It has no symbolic entries of its own: column k of
+  ``theta_g`` belongs to drift entry k, and a model's g combines the input
+  coefficients with the drift entries;
 * output library: powers ``1, x_k, x_k^2, ...`` of the observed state.
 
-The numeric matrices come from :func:`sparsefl.symexpr.evaluate_columns`
-over all samples at once, which returns exactly what the symbolic entry's
-``evaluate`` returns at each sample, so the symbolic and numeric views
-agree bit for bit.
+The drift and output matrices come from
+:func:`sparsefl.symexpr.evaluate_columns` over all samples at once, which
+returns exactly what the symbolic entry's ``evaluate`` returns at each
+sample, so the symbolic and numeric views agree bit for bit.
 """
 
 from __future__ import annotations
@@ -99,7 +102,6 @@ class DictionarySet:
     spec: LibrarySpec
     n_states: int
     theta_f_entries: tuple[Expression, ...]
-    theta_g_entries: tuple[Expression, ...]
     phi_entries: tuple[Expression, ...]
     theta: np.ndarray  # m x (p_x + p_u), the joint design [theta_f | theta_g]
     phi: np.ndarray  # m x p_y
@@ -120,7 +122,8 @@ class DictionarySet:
 
     @property
     def p_u(self) -> int:
-        return len(self.theta_g_entries)
+        """Width of the input library: one column per drift entry."""
+        return self.p_x
 
     @property
     def p_y(self) -> int:
@@ -130,7 +133,7 @@ class DictionarySet:
         return [str(e) for e in self.theta_f_entries]
 
     def labels_g(self) -> list[str]:
-        return [str(e) for e in self.theta_g_entries]
+        return ["u" if lab == "1" else f"{lab}*u" for lab in self.labels_f()]
 
     def labels_phi(self) -> list[str]:
         return [str(e) for e in self.phi_entries]
@@ -144,34 +147,34 @@ def build_dictionaries(spec: LibrarySpec, d: Dataset) -> DictionarySet:
             f"output_state_index {spec.output_state_index} out of range for {n} states"
         )
     f_entries = _drift_entries(spec, n)
-    u_factor = Expression.input(n)
-    g_entries = [e * u_factor for e in f_entries]
     k = spec.output_state_index
     phi_entries = [
         Expression.monomial(tuple(j if i == k else 0 for i in range(n)))
         for j in range(spec.output_poly_order + 1)
     ]
 
-    p_x, p_u = len(f_entries), len(g_entries)
-    if d.m < max(p_x + p_u, len(phi_entries)):
+    p_x = len(f_entries)
+    if d.m < max(2 * p_x, len(phi_entries)):
         warnings.warn(
-            f"only {d.m} samples for a library of width {p_x + p_u}; "
+            f"only {d.m} samples for a library of width {2 * p_x}; "
             "the regression is underdetermined",
             stacklevel=2,
         )
 
-    # one call, so the three libraries share their atom columns; the drift
-    # and output entries carry no u factor, so passing U changes none of them
-    values = evaluate_columns(f_entries + g_entries + phi_entries, d.X, d.U)
-    theta = values[:, : p_x + p_u].copy()
-    phi = values[:, p_x + p_u :].copy()
+    # one call, so the drift and output libraries share their atom columns
+    values = evaluate_columns(f_entries + phi_entries, d.X)
+    theta = np.empty((d.m, 2 * p_x))
+    theta[:, :p_x] = values[:, :p_x]
+    # 0.0 + v, as evaluate_columns sums from zero: a -0.0 product becomes +0.0
+    np.multiply(values[:, :p_x], d.U[:, None], out=theta[:, p_x:])
+    theta[:, p_x:] += 0.0
+    phi = values[:, p_x:].copy()
     theta.setflags(write=False)
     phi.setflags(write=False)
     return DictionarySet(
         spec=spec,
         n_states=n,
         theta_f_entries=tuple(f_entries),
-        theta_g_entries=tuple(g_entries),
         phi_entries=tuple(phi_entries),
         theta=theta,
         phi=phi,

@@ -57,14 +57,8 @@ class ControlAffineSystem:
             for i, e in enumerate(fields):
                 if e.n_states != self.n:
                     raise ValueError(f"{name}[{i}] has {e.n_states} states, expected {self.n}")
-                if e.depends_on_input():
-                    raise ValueError(
-                        f"{name}[{i}] contains input powers; the system must be control-affine"
-                    )
         if self.c.n_states != self.n:
             raise ValueError(f"c has {self.c.n_states} states, expected {self.n}")
-        if self.c.depends_on_input():
-            raise ValueError("output map c must not depend on the input")
         if len(self.c.state_variables()) > 1:
             raise ValueError("output map c must depend on a single state variable")
         object.__setattr__(self, "f", f)

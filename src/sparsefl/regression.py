@@ -38,7 +38,7 @@ from .data import Dataset
 from .dictionary import DictionarySet
 from .dynamics import ControlAffineSystem
 from .lie import lie_f
-from .symexpr import Expression, evaluate_columns, format_expression, parse_expression
+from .symexpr import Expression, evaluate_columns, format_expression, format_terms, parse_expression
 
 __all__ = [
     "RegressionConfig",
@@ -388,11 +388,11 @@ class GeneralConstraint:
 def _reconstruct(
     ds: DictionarySet, xi_tilde: np.ndarray, xi_hat: np.ndarray, zeta: np.ndarray
 ) -> tuple[tuple[Expression, ...], tuple[Expression, ...], Expression]:
+    # input column k is drift entry k times u, so g combines the drift entries
     n = ds.n_states
-    f = tuple(_combine(xi_tilde[:, l], ds.theta_f_entries, n) for l in range(xi_tilde.shape[1]))
-    g = tuple(
-        _combine(xi_hat[:, l], ds.theta_g_entries, n).strip_input()
-        for l in range(xi_hat.shape[1])
+    f, g = (
+        tuple(_combine(xi[:, l], ds.theta_f_entries, n) for l in range(xi.shape[1]))
+        for xi in (xi_tilde, xi_hat)
     )
     return f, g, _combine(zeta, ds.phi_entries, n)
 
@@ -638,11 +638,9 @@ def format_coefficient_table(model: SparseModel, digits: int = 4) -> str:
 def discovered_equations(model: SparseModel, digits: int | None = 4) -> list[str]:
     """Human-readable model equations after thresholding."""
     lines = []
-    n_states = model.c.n_states
-    u = Expression.input(n_states)
     for l in range(model.n):
-        rhs = model.f[l] + model.g[l] * u
-        lines.append(f"dx{l + 1}/dt = {format_expression(rhs, digits=digits)}")
+        terms = [(t, ()) for t in model.f[l].terms] + [(t, ("u",)) for t in model.g[l].terms]
+        lines.append(f"dx{l + 1}/dt = {format_terms(terms, digits)}")
     lines.append(f"y = {format_expression(model.c, digits=digits)}")
     return lines
 

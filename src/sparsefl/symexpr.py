@@ -2,18 +2,22 @@
 
 An :class:`Expression` is a sum of terms of the form
 
-    coefficient * x1^p1 * ... * xn^pn * trig(j*xi) * ... * u^q
+    coefficient * x1^p1 * ... * xn^pn * trig(j*xi) * ...
 
 where each trig factor is ``sin`` or ``cos`` of a positive integer multiple
-of a single state variable, and ``u`` is a scalar input. This covers
-polynomial/trigonometric candidate libraries, their products, and their
-exact partial derivatives, without pulling in a general-purpose CAS.
+of a single state variable. An expression is a function of the state x
+only; the scalar input u enters a model solely through the control-affine
+pair (f, g) of ``xdot = f(x) + g(x) * u``. This covers polynomial/
+trigonometric candidate libraries, their products, and their exact partial
+derivatives, without pulling in a general-purpose CAS.
 
 Expressions are immutable and canonical: like terms are merged, terms with
 coefficient exactly zero are dropped, and the remaining terms are sorted by
 a fixed graded-lexicographic order. Printing and evaluation are therefore
-deterministic, and two canonical expressions compare equal iff they have
-identical term lists.
+deterministic. Equality is structural: two canonical expressions compare
+equal iff they have identical term lists, which is not function equality.
+Trig identities are not applied, so ``sin(x1)^2 + cos(x1)^2 - 1`` is not
+reported as zero by :meth:`Expression.is_zero`.
 
 Products of trig factors are kept as products of atoms; no product-to-sum
 rewriting is performed.
@@ -38,6 +42,7 @@ __all__ = [
     "Expression",
     "evaluate_columns",
     "format_expression",
+    "format_terms",
     "parse_expression",
 ]
 
@@ -54,20 +59,17 @@ def _atom_sort_key(atom: TrigAtom) -> tuple[int, str, int]:
 
 @dataclass(frozen=True)
 class Term:
-    """One product term: coefficient * monomial * trig atoms * u^input_power."""
+    """One product term: coefficient * monomial * trig atoms."""
 
     coefficient: float
     monomial: tuple[int, ...]
     trig_atoms: tuple[TrigAtom, ...] = ()
-    input_power: int = 0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.coefficient):
             raise ValueError(f"non-finite term coefficient {self.coefficient!r}")
         if any(not isinstance(e, int) or e < 0 for e in self.monomial):
             raise ValueError(f"monomial exponents must be non-negative integers: {self.monomial}")
-        if not isinstance(self.input_power, int) or self.input_power < 0:
-            raise ValueError(f"input power must be a non-negative integer: {self.input_power}")
         n = len(self.monomial)
         for kind, freq, var in self.trig_atoms:
             if kind not in _TRIG_KINDS:
@@ -85,20 +87,19 @@ class Term:
     @property
     def signature(self) -> tuple:
         """Everything but the coefficient; terms with equal signatures merge."""
-        return (self.monomial, self.trig_atoms, self.input_power)
+        return (self.monomial, self.trig_atoms)
 
     @property
     def sort_key(self) -> tuple:
-        # Input-free terms first, then graded lex: total monomial degree,
-        # descending-lex exponents (x1^2 before x1*x2 before x2^2), trig.
+        # Graded lex: total monomial degree, descending-lex exponents
+        # (x1^2 before x1*x2 before x2^2), then trig.
         return (
-            self.input_power,
             sum(self.monomial),
             tuple(-e for e in self.monomial),
             tuple(_atom_sort_key(a) for a in self.trig_atoms),
         )
 
-    def evaluate(self, x: Sequence[float], u: float) -> float:
+    def evaluate(self, x: Sequence[float]) -> float:
         value = self.coefficient
         for i, p in enumerate(self.monomial):
             if p:
@@ -106,8 +107,6 @@ class Term:
         for kind, freq, var in self.trig_atoms:
             angle = freq * x[var]
             value *= math.sin(angle) if kind == "sin" else math.cos(angle)
-        if self.input_power:
-            value *= u ** self.input_power
         return value
 
 
@@ -124,7 +123,7 @@ def _canonical_terms(terms: Iterable[Term], n_states: int) -> tuple[Term, ...]:
             if c == 0.0:
                 del merged[sig]
             else:
-                merged[sig] = Term(c, t.monomial, t.trig_atoms, t.input_power)
+                merged[sig] = Term(c, t.monomial, t.trig_atoms)
         elif t.coefficient != 0.0:
             merged[sig] = t
     return tuple(sorted(merged.values(), key=lambda t: t.sort_key))
@@ -167,10 +166,6 @@ class Expression:
         atom: TrigAtom = (kind, frequency, var)
         return Expression((Term(1.0, (0,) * n_states, (atom,)),), n_states)
 
-    @staticmethod
-    def input(n_states: int, power: int = 1) -> "Expression":
-        return Expression((Term(1.0, (0,) * n_states, (), power),), n_states)
-
     # -- queries ------------------------------------------------------------
 
     def is_zero(self, tol: float = 0.0) -> bool:
@@ -179,10 +174,7 @@ class Expression:
         return all(abs(t.coefficient) <= tol for t in self.terms)
 
     def is_constant(self) -> bool:
-        return all(
-            not any(t.monomial) and not t.trig_atoms and t.input_power == 0
-            for t in self.terms
-        )
+        return all(not any(t.monomial) and not t.trig_atoms for t in self.terms)
 
     def constant_value(self) -> float:
         if not self.is_constant():
@@ -196,9 +188,6 @@ class Expression:
             used.update(i for i, p in enumerate(t.monomial) if p)
             used.update(var for _, _, var in t.trig_atoms)
         return used
-
-    def depends_on_input(self) -> bool:
-        return any(t.input_power for t in self.terms)
 
     def max_abs_coefficient(self) -> float:
         return max((abs(t.coefficient) for t in self.terms), default=0.0)
@@ -219,7 +208,7 @@ class Expression:
 
     def __neg__(self) -> "Expression":
         return Expression(
-            tuple(Term(-t.coefficient, t.monomial, t.trig_atoms, t.input_power) for t in self.terms),
+            tuple(Term(-t.coefficient, t.monomial, t.trig_atoms) for t in self.terms),
             self.n_states,
         )
 
@@ -239,16 +228,12 @@ class Expression:
                             a.coefficient * b.coefficient,
                             tuple(p + q for p, q in zip(a.monomial, b.monomial)),
                             a.trig_atoms + b.trig_atoms,
-                            a.input_power + b.input_power,
                         )
                     )
             return Expression(tuple(out), self.n_states)
         if isinstance(other, (int, float)):
             return Expression(
-                tuple(
-                    Term(t.coefficient * other, t.monomial, t.trig_atoms, t.input_power)
-                    for t in self.terms
-                ),
+                tuple(Term(t.coefficient * other, t.monomial, t.trig_atoms) for t in self.terms),
                 self.n_states,
             )
         return NotImplemented
@@ -265,7 +250,7 @@ class Expression:
             if p:
                 lowered = list(t.monomial)
                 lowered[index] = p - 1
-                out.append(Term(t.coefficient * p, tuple(lowered), t.trig_atoms, t.input_power))
+                out.append(Term(t.coefficient * p, tuple(lowered), t.trig_atoms))
             for j, (kind, freq, var) in enumerate(t.trig_atoms):
                 if var != index:
                     continue
@@ -276,12 +261,10 @@ class Expression:
                 else:
                     new_atom = ("sin", freq, var)
                     factor = -float(freq)
-                out.append(
-                    Term(t.coefficient * factor, t.monomial, rest + (new_atom,), t.input_power)
-                )
+                out.append(Term(t.coefficient * factor, t.monomial, rest + (new_atom,)))
         return Expression(tuple(out), self.n_states)
 
-    def evaluate(self, x: Sequence[float], u: float = 0.0) -> float:
+    def evaluate(self, x: Sequence[float]) -> float:
         if len(x) != self.n_states:
             raise ValueError(
                 f"point has {len(x)} components, expected {self.n_states}"
@@ -289,21 +272,10 @@ class Expression:
         for v in x:
             if not math.isfinite(v):
                 raise ValueError(f"non-finite state component {v!r}")
-        if not math.isfinite(u):
-            raise ValueError(f"non-finite input value {u!r}")
         total = 0.0
         for t in self.terms:
-            total += t.evaluate(x, u)
+            total += t.evaluate(x)
         return total
-
-    # -- strip/rebuild helpers used by the dictionary layer -----------------
-
-    def strip_input(self) -> "Expression":
-        """Drop the ``u`` factor from every term (control-affine extraction)."""
-        return Expression(
-            tuple(Term(t.coefficient, t.monomial, t.trig_atoms, 0) for t in self.terms),
-            self.n_states,
-        )
 
     def __str__(self) -> str:
         return format_expression(self)
@@ -312,22 +284,19 @@ class Expression:
         return f"Expression({format_expression(self)!r}, n_states={self.n_states})"
 
 
-def evaluate_columns(
-    exprs: Sequence[Expression], X: np.ndarray, U: np.ndarray | None = None
-) -> np.ndarray:
-    """Evaluate ``exprs`` at every row of ``X`` (m x n) with input ``U`` (length m).
+def evaluate_columns(exprs: Sequence[Expression], X: np.ndarray) -> np.ndarray:
+    """Evaluate ``exprs`` at every row of ``X`` (m x n).
 
     Returns an m x len(exprs) array whose column j equals
-    ``[exprs[j].evaluate(X[i], U[i]) for i in range(m)]`` bit for bit;
-    ``U=None`` means ``u = 0``, the default of :meth:`Expression.evaluate`.
+    ``[exprs[j].evaluate(X[i]) for i in range(m)]`` bit for bit.
 
-    Each distinct atom column (``x_i^p``, a trig atom, ``u^q``) is computed
+    Each distinct atom column (``x_i^p`` or a trig atom) is computed
     once per call, element by element with the same scalar operations
     :meth:`Term.evaluate` uses (``v ** p``, ``math.sin(freq * v)``), iterated
     in C by ``map``. Vector ``np.power``/``np.sin`` may round differently
     from the scalar libm calls, so they are not used; an overflowing power
     raises ``OverflowError`` as the scalar one does. ``v ** 1`` is ``v``
-    itself, so power-1 atoms are the state and input columns. The product
+    itself, so power-1 atoms are the state columns. The product
     ``freq * v`` is one IEEE multiply, elementwise or scalar. Term columns
     are then formed by multiplying the coefficient by the atom columns in
     :meth:`Term.evaluate`'s factor order, and summed from zero in term
@@ -338,29 +307,20 @@ def evaluate_columns(
     if X.ndim != 2:
         raise ValueError(f"states must be an m x n array, got shape {X.shape}")
     m, n = X.shape
-    U = np.zeros(m) if U is None else np.asarray(U, dtype=float)
-    if U.shape != (m,):
-        raise ValueError(f"input must have shape ({m},), got {U.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite state component")
-    if not np.all(np.isfinite(U)):
-        raise ValueError("non-finite input value")
 
     atoms: dict[tuple, np.ndarray] = {}
 
-    def powers(column: np.ndarray, p: int) -> np.ndarray:
-        if p == 1:
-            return column
-        # Python floats, so pow is the float power Term.evaluate calls
-        return np.fromiter(map(pow, column.tolist(), repeat(p)), float, m)
-
     def atom(key: tuple) -> np.ndarray:
-        # key: ("x", i, p) for x_i^p, ("u", q) for u^q, or a trig atom
+        # key: ("x", i, p) for x_i^p, or a trig atom
         if key not in atoms:
             if key[0] == "x":
-                atoms[key] = powers(X[:, key[1]], key[2])
-            elif key[0] == "u":
-                atoms[key] = powers(U, key[1])
+                column, p = X[:, key[1]], key[2]
+                if p > 1:
+                    # Python floats, so pow is the float power Term.evaluate calls
+                    column = np.fromiter(map(pow, column.tolist(), repeat(p)), float, m)
+                atoms[key] = column
             else:
                 kind, freq, var = key
                 fn = math.sin if kind == "sin" else math.cos
@@ -380,8 +340,6 @@ def evaluate_columns(
                     value = value * atom(("x", i, p))
             for trig in t.trig_atoms:
                 value = value * atom(trig)
-            if t.input_power:
-                value = value * atom(("u", t.input_power))
             total += value
         out[:, j] = total
     return out
@@ -409,20 +367,26 @@ def _format_factors(t: Term) -> list[str]:
     for kind, freq, var in t.trig_atoms:
         arg = f"x{var + 1}" if freq == 1 else f"{freq}*x{var + 1}"
         factors.append(f"{kind}({arg})")
-    if t.input_power == 1:
-        factors.append("u")
-    elif t.input_power > 1:
-        factors.append(f"u^{t.input_power}")
     return factors
 
 
 def format_expression(e: Expression, digits: int | None = None) -> str:
     """Deterministic text rendering; exact mode round-trips through the parser."""
-    if not e.terms:
-        return "0"
+    return format_terms(((t, ()) for t in e.terms), digits)
+
+
+def format_terms(
+    terms: Iterable[tuple[Term, tuple[str, ...]]], digits: int | None = None
+) -> str:
+    """Render ``(term, extra factor names)`` pairs, in order, as one signed sum.
+
+    Each summand is the term's coefficient and factors followed by the extra
+    names, so ``f + g*u`` is f's terms then g's terms with the extra ``"u"``.
+    An empty sum is ``"0"``.
+    """
     pieces: list[str] = []
-    for idx, t in enumerate(e.terms):
-        factors = _format_factors(t)
+    for idx, (t, extra) in enumerate(terms):
+        factors = _format_factors(t) + list(extra)
         mag = _format_coefficient(abs(t.coefficient), digits)
         if not factors:
             body = mag
@@ -435,7 +399,7 @@ def format_expression(e: Expression, digits: int | None = None) -> str:
         else:
             joiner = " + " if t.coefficient >= 0 else " - "
             pieces.append(f"{joiner}{body}")
-    return "".join(pieces)
+    return "".join(pieces) or "0"
 
 
 # -- parsing ------------------------------------------------------------------
@@ -506,13 +470,12 @@ class _Parser:
 
 
 class _RawTerm:
-    __slots__ = ("coefficient", "powers", "atoms", "input_power")
+    __slots__ = ("coefficient", "powers", "atoms")
 
     def __init__(self) -> None:
         self.coefficient = 1.0
         self.powers: dict[int, int] = {}
         self.atoms: list[TrigAtom] = []
-        self.input_power = 0
 
 
 def _parse_term(parser: _Parser, sign: float) -> _RawTerm:
@@ -524,9 +487,7 @@ def _parse_term(parser: _Parser, sign: float) -> _RawTerm:
             exp = parser.parse_exponent()
             raw.coefficient *= float(value) ** exp
         elif kind == "name":
-            if value == "u":
-                raw.input_power += parser.parse_exponent()
-            elif value in _TRIG_KINDS:
+            if value in _TRIG_KINDS:
                 parser.expect_op("(")
                 tok = parser.peek()
                 freq = 1
@@ -555,7 +516,7 @@ def parse_expression(text: str, n_states: int | None = None) -> Expression:
     """Parse the text grammar produced by :func:`format_expression`.
 
     Terms are joined by ``+``/``-``; factors are ``xN``, ``xN^k``,
-    ``sin(j*xN)``, ``cos(j*xN)``, ``u``, ``u^k`` and numeric literals,
+    ``sin(j*xN)``, ``cos(j*xN)`` and numeric literals,
     joined by ``*``. If ``n_states`` is omitted it is inferred from the
     largest state index present.
     """
@@ -603,5 +564,5 @@ def parse_expression(text: str, n_states: int | None = None) -> Expression:
         exps = [0] * n_states
         for var, p in raw.powers.items():
             exps[var] = p
-        terms.append(Term(raw.coefficient, tuple(exps), tuple(raw.atoms), raw.input_power))
+        terms.append(Term(raw.coefficient, tuple(exps), tuple(raw.atoms)))
     return Expression(tuple(terms), n_states)

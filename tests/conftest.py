@@ -58,7 +58,6 @@ def make_random_expression(
     max_terms: int = 4,
     max_degree: int = 4,
     max_trig_freq: int = 2,
-    max_input_power: int = 2,
 ) -> Expression:
     """Random expression in the dictionary function class, reproducible by seed."""
     terms = []
@@ -76,6 +75,5 @@ def make_random_expression(
             freq = int(rng.integers(1, max_trig_freq + 1))
             var = int(rng.integers(0, n_states))
             atoms.append((kind, freq, var))
-        q = int(rng.integers(0, max_input_power + 1))
-        terms.append(Term(coeff, tuple(exps), tuple(atoms), q))
+        terms.append(Term(coeff, tuple(exps), tuple(atoms)))
     return Expression(tuple(terms), n_states)

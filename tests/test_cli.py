@@ -114,11 +114,13 @@ NAN = float("nan")
         (["simulate"], {"controller": {"gains": None, "poles": None}}),
         (["simulate", "--poles", "-1"], {"controller": 5}),
         (["simulate", "--lambda", "0.1"], {"regression": None}),
+        (["pipeline"], {"controller": {"gains": []}}),
+        (["pipeline"], {"controller": {"gains": None, "poles": []}}),
     ],
     ids=[
         "reference-kind", "pole-pair", "gains-not-list", "tracking-dt-nan",
         "simulation-dt-nan", "amplitude-nan", "tracking-x0-shape", "unused-controller",
-        "poles-flag-into-number", "lambda-flag-into-null",
+        "poles-flag-into-number", "lambda-flag-into-null", "gains-empty", "poles-empty",
     ],
 )
 def test_config_errors_exit_before_any_stage_writes(tmp_path, command, raw):
@@ -250,6 +252,16 @@ def test_lie_undefined_degree_exit_code(tmp_path, model_path):
     assert run(["lie", "--model", bad, "--out", tmp_path]) == EXIT_RELATIVE_DEGREE
 
 
+def test_lie_model_with_input_in_f_is_config_error(tmp_path, model_path, capsys):
+    # expressions are functions of the state: u enters only through g
+    payload = json.loads(model_path.read_text())
+    payload["f"][1] += " + x1*u"
+    bad = tmp_path / "input_in_f.json"
+    bad.write_text(json.dumps(payload))
+    assert run(["lie", "--model", bad, "--out", tmp_path / "run"]) == EXIT_CONFIG
+    assert "unknown symbol 'u'" in capsys.readouterr().err
+
+
 def test_lie_corrupted_model_names_stage(tmp_path, capsys):
     bad = tmp_path / "model.json"
     bad.write_text("{not json")
@@ -368,6 +380,27 @@ def test_pipeline_end_to_end(tmp_path):
         abs(float(r["x1_true"]) - float(r["x1_identified"])) for r in overlay
     )
     assert drift <= 1e-3
+
+
+def test_per_stage_commands_match_pipeline(tmp_path):
+    # the pipeline hands each stage's result on in memory, the subcommands
+    # read it back from the previous stage's file: both write the same bytes
+    cfg = write_config(tmp_path, {"controller": {"gains": None, "poles": [[-2, 1], [-2, -1]]}})
+    stages, whole = tmp_path / "stages", tmp_path / "pipeline"
+    for args in (
+        ["simulate"],
+        ["identify", "--data", stages / "dataset.csv"],
+        ["lie", "--model", stages / "model.json"],
+        ["synthesize", "--model", stages / "model.json"],
+        ["closedloop", "--controller", stages / "controller.json"],
+        ["closedloop", "--controller", stages / "controller.json", "--scenario", "tracking"],
+    ):
+        assert run([*args, "--config", cfg, "--out", stages]) == EXIT_OK
+    assert run(["pipeline", "--config", cfg, "--out", whole]) == EXIT_OK
+    names = sorted(p.name for p in stages.iterdir())
+    assert len(names) == 9 and set(names) < {p.name for p in whole.iterdir()}
+    for name in names:
+        assert (stages / name).read_bytes() == (whole / name).read_bytes(), name
 
 
 def test_pipeline_outputs_are_deterministic(tmp_path):

@@ -102,6 +102,12 @@ def test_input_matrix_row_arithmetic():
     assert ds.theta_g[0, ds.labels_g().index("u")] == 5.0
 
 
+def input_library_oracle(ds, d):
+    """Per-sample theta_g: the drift entry's value times u, summed from 0.0."""
+    rows = zip(d.X, d.U)
+    return np.array([[0.0 + e.evaluate(x) * u for e in ds.theta_f_entries] for x, u in rows])
+
+
 def test_matrices_match_symbolic_evaluation_exactly():
     # powers up to 5: vectorized np.power rounds differently from scalar **
     d = random_dataset(m=100, seed=3)
@@ -109,10 +115,23 @@ def test_matrices_match_symbolic_evaluation_exactly():
     for i in range(d.m):
         for j, e in enumerate(ds.theta_f_entries):
             assert ds.theta_f[i, j] == e.evaluate(d.X[i])
-        for j, e in enumerate(ds.theta_g_entries):
-            assert ds.theta_g[i, j] == e.evaluate(d.X[i], d.U[i])
         for j, e in enumerate(ds.phi_entries):
             assert ds.phi[i, j] == e.evaluate(d.X[i])
+    assert np.array_equal(ds.theta_g, input_library_oracle(ds, d))
+
+
+@pytest.mark.filterwarnings("ignore:only .* samples")
+def test_input_library_keeps_signed_zeros_positive():
+    # exact zeros of both signs in the states and a negative input: a plain
+    # product would leave -0.0 entries, which LAPACK can tell apart from +0.0
+    X = [[0.0, -0.0], [-0.0, 1.5], [-2.0, 0.0], [0.0, 0.0]]
+    d = dataset_from_states(X, U=[-1.5, -0.5, 0.0, -0.0])
+    spec = LibrarySpec(poly_order=3, trig_orders=(1,), cross_trig=True)
+    ds = build_dictionaries(spec, d)
+    bits = ds.theta_g.view(np.uint64)
+    assert np.array_equal(bits, input_library_oracle(ds, d).view(np.uint64))
+    assert not np.signbit(ds.theta_g[ds.theta_g == 0.0]).any()
+    assert ds.p_u == ds.p_x and ds.labels_g()[:3] == ["u", "x1*u", "x2*u"]
 
 
 def test_underdetermined_warning():

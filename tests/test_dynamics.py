@@ -58,14 +58,6 @@ def test_vdp_input_channel():
 
 
 def test_control_affine_validation():
-    u_term = Expression.input(2)
-    with pytest.raises(ValueError, match="control-affine"):
-        ControlAffineSystem(
-            f=(u_term, Expression.zero(2)),
-            g=(Expression.zero(2), Expression.constant(1.0, 2)),
-            c=Expression.variable(0, 2),
-            n=2,
-        )
     with pytest.raises(ValueError, match="single state"):
         ControlAffineSystem(
             f=(Expression.zero(2), Expression.zero(2)),

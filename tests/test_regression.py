@@ -491,10 +491,7 @@ def test_general_constraint_matches_bilinear_factors(vdp_dicts, vdp_data):
     xi_hat = rng.uniform(-1, 1, size=(ds.p_u, 2))
     zeta = rng.uniform(-1, 1, size=ds.p_y)
     c = sum((float(z) * e for z, e in zip(zeta, ds.phi_entries)), Expression.zero(2))
-    g1 = sum(
-        (float(w) * e.strip_input() for w, e in zip(xi_hat[:, 0], ds.theta_g_entries)),
-        Expression.zero(2),
-    )
+    g1 = sum((float(w) * e for w, e in zip(xi_hat[:, 0], ds.theta_f_entries)), Expression.zero(2))
     dc = c.partial(0)
     weights = np.array([dc.evaluate(x) for x in d.X])
     g1u = np.array([g1.evaluate(x) * u for x, u in zip(d.X, d.U)])
@@ -504,7 +501,7 @@ def test_general_constraint_matches_bilinear_factors(vdp_dicts, vdp_data):
     assert np.allclose(res[0], weights * g1u, rtol=1e-12, atol=1e-12)
     states, C = gc.state_rows(zeta, xi_tilde)
     assert states == [0]
-    tg = np.array([[e.evaluate(x, u) for e in ds.theta_g_entries] for x, u in zip(d.X, d.U)])
+    tg = np.array([[e.evaluate(x) * u for e in ds.theta_f_entries] for x, u in zip(d.X, d.U)])
     assert np.allclose(C[:, : ds.p_x], 0.0)
     assert np.allclose(C[:, ds.p_x :], weights[:, None] * tg, rtol=1e-12, atol=1e-12)
     dphi = np.array([[e.partial(0).evaluate(x) for e in ds.phi_entries] for x in d.X])

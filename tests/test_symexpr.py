@@ -14,6 +14,7 @@ from sparsefl.symexpr import (
     Expression,
     evaluate_columns,
     format_expression,
+    format_terms,
     parse_expression,
 )
 
@@ -41,10 +42,10 @@ def test_add_controller_assembly_expansion():
     a = parse_expression("x1 - 2*x2 + 2*x1^2*x2", 2)
     b = 5.0 * (-x(0))
     total = a + b
-    # signature: (monomial exponents, trig atoms, input power)
+    # signature: (monomial exponents, trig atoms)
     coefficients = {t.signature: t.coefficient for t in total.terms}
     assert coefficients == pytest.approx(
-        {((1, 0), (), 0): -4.0, ((0, 1), (), 0): -2.0, ((2, 1), (), 0): 2.0}
+        {((1, 0), ()): -4.0, ((0, 1), ()): -2.0, ((2, 1), ()): 2.0}
     )
     assert len(total.terms) == 3
     rng = np.random.default_rng(7)
@@ -67,7 +68,7 @@ def test_mul_monomials():
 
 def test_mul_identity():
     one = Expression.constant(1.0, 2)
-    e = parse_expression("2*x1 - x2 + sin(2*x1)*u", 2)
+    e = parse_expression("2*x1 - x2 + sin(2*x1)*x2", 2)
     assert one * e == e
 
 
@@ -118,7 +119,7 @@ def test_partial_product_rule_with_trig():
 
 
 def test_evaluate_monomial():
-    assert Expression.monomial((2, 1)).evaluate([2.0, 3.0], 0.0) == 12.0
+    assert Expression.monomial((2, 1)).evaluate([2.0, 3.0]) == 12.0
 
 
 def test_evaluate_constant():
@@ -133,8 +134,6 @@ def test_evaluate_hand_arithmetic():
 def test_evaluate_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         x(0).evaluate([math.inf, 0.0])
-    with pytest.raises(ValueError, match="non-finite"):
-        Expression.input(2).evaluate([0.0, 0.0], math.nan)
 
 
 def test_evaluate_rejects_wrong_dimension():
@@ -146,12 +145,8 @@ def test_evaluate_columns_rejects_bad_input():
     X = np.zeros((3, 2))
     with pytest.raises(ValueError, match="expected 3"):
         evaluate_columns([Expression.variable(0, 3)], X)
-    with pytest.raises(ValueError, match="shape"):
-        evaluate_columns([x(0)], X, np.zeros(2))
     with pytest.raises(ValueError, match="non-finite"):
         evaluate_columns([x(0)], np.array([[0.0, math.inf]]))
-    with pytest.raises(ValueError, match="non-finite"):
-        evaluate_columns([Expression.input(2)], X, np.array([0.0, math.nan, 0.0]))
     assert evaluate_columns([], X).shape == (3, 0)
 
 
@@ -178,8 +173,13 @@ def test_format_zero():
 
 
 def test_format_state_row_with_input_part():
-    e = parse_expression("-1.001*x1 + 2*x2 - 2*x1^2*x2 + 1.001*u", 2)
-    assert format_expression(e) == "-1.001*x1 + 2*x2 - 2*x1^2*x2 + 1.001*u"
+    # f's terms, then g's terms with a trailing u factor, as discovered_equations prints
+    f = parse_expression("-1.001*x1 + 2*x2 - 2*x1^2*x2", 2)
+    g = parse_expression("1.001 - x1*sin(x2)", 2)
+    terms = [(t, ()) for t in f.terms] + [(t, ("u",)) for t in g.terms]
+    assert format_terms(terms) == "-1.001*x1 + 2*x2 - 2*x1^2*x2 + 1.001*u - x1*sin(x2)*u"
+    assert format_terms([(t, ("u",)) for t in g.terms], digits=2) == "u - x1*sin(x2)*u"
+    assert format_terms([]) == format_expression(Expression.zero(2)) == "0"
 
 
 def test_format_unit_coefficient():
@@ -202,6 +202,8 @@ def test_parse_errors():
         parse_expression("x3", 2)  # exceeds declared dimension
     with pytest.raises(ValueError):
         parse_expression("sin(2.5*x1)", 2)  # non-integer frequency
+    with pytest.raises(ValueError, match="unknown symbol 'u'"):
+        parse_expression("x1*u", 2)  # expressions are functions of the state only
 
 
 def test_parse_infers_dimension():
@@ -229,13 +231,12 @@ def test_ring_laws_at_evaluation(seed):
     a = make_random_expression(rng)
     b = make_random_expression(rng)
     p = rng.uniform(-2.0, 2.0, size=2)
-    u = float(rng.uniform(-2.0, 2.0))
-    va, vb = a.evaluate(p, u), b.evaluate(p, u)
-    sum_val = (a + b).evaluate(p, u)
+    va, vb = a.evaluate(p), b.evaluate(p)
+    sum_val = (a + b).evaluate(p)
     assert abs(sum_val - (va + vb)) <= 1e-12 * (1.0 + abs(va) + abs(vb))
     prod = a * b
-    mass = sum(abs(t.evaluate(p, u)) for t in prod.terms)
-    assert abs(prod.evaluate(p, u) - va * vb) <= 1e-12 * (1.0 + abs(va * vb) + mass)
+    mass = sum(abs(t.evaluate(p)) for t in prod.terms)
+    assert abs(prod.evaluate(p) - va * vb) <= 1e-12 * (1.0 + abs(va * vb) + mass)
 
 
 @given(st.integers(0, 10_000))
@@ -254,59 +255,50 @@ def test_partial_matches_finite_differences(seed):
     i = int(rng.integers(0, e.n_states))
     d = e.partial(i)
     p = rng.uniform(-2.0, 2.0, size=e.n_states)
-    u = float(rng.uniform(-1.0, 1.0))
     h = 1e-5
     hi, lo = p.copy(), p.copy()
     hi[i] += h
     lo[i] -= h
-    fd = (e.evaluate(hi, u) - e.evaluate(lo, u)) / (2 * h)
-    exact = d.evaluate(p, u)
+    fd = (e.evaluate(hi) - e.evaluate(lo)) / (2 * h)
+    exact = d.evaluate(p)
     assert abs(exact - fd) <= 1e-6 * (1.0 + abs(exact)) + 1e-7
 
 
 @given(st.integers(0, 10_000), st.integers(1, 3))
 @settings(max_examples=100, deadline=None)
 def test_evaluate_columns_is_bitwise_evaluate(seed, n):
-    # powers up to 5, sin/cos at frequencies 1-2, input powers, multi-term
-    # sums: the column evaluator must return exactly the per-sample values,
-    # compared as bit patterns so that -0.0 and 0.0 differ
+    # powers up to 5, sin/cos at frequencies 1-2, multi-term sums: the
+    # column evaluator must return exactly the per-sample values, compared
+    # as bit patterns so that -0.0 and 0.0 differ
     rng = np.random.default_rng(seed)
     exprs = [
-        make_random_expression(
-            rng, n_states=n, max_terms=5, max_degree=5, max_trig_freq=2, max_input_power=3
-        )
+        make_random_expression(rng, n_states=n, max_terms=5, max_degree=5, max_trig_freq=2)
         for _ in range(4)
-    ] + [x(n - 1, n), -1.0 * Expression.input(n)]
+    ] + [x(n - 1, n), -1.0 * x(0, n)]
     # exact zeros of both signs and unit magnitudes: power-1 atoms are the
-    # state and input columns themselves, and a sum of -0.0 terms is +0.0
+    # state columns themselves, and a sum of -0.0 terms is +0.0
     X = rng.uniform(-3.0, 3.0, size=(25, n))
-    U = rng.uniform(-3.0, 3.0, size=25)
-    specials = np.array([0.0, -0.0, 1.0, -1.0])
-    for a in (X, U):
-        mask = rng.random(a.shape) < 0.4
-        a[mask] = rng.choice(specials, size=int(mask.sum()))
-    with_u = np.array([[e.evaluate(X[i], U[i]) for e in exprs] for i in range(25)])
-    without_u = np.array([[e.evaluate(X[i]) for e in exprs] for i in range(25)])
+    mask = rng.random(X.shape) < 0.4
+    X[mask] = rng.choice(np.array([0.0, -0.0, 1.0, -1.0]), size=int(mask.sum()))
+    oracle = np.array([[e.evaluate(X[i]) for e in exprs] for i in range(25)])
     bits = lambda a: a.view(np.uint64)  # noqa: E731
-    assert np.array_equal(bits(evaluate_columns(exprs, X, U)), bits(with_u))
-    assert np.array_equal(bits(evaluate_columns(exprs, X)), bits(without_u))
+    assert np.array_equal(bits(evaluate_columns(exprs, X)), bits(oracle))
 
 
 @pytest.mark.parametrize(
-    "expr, X, U",
+    "expr, X",
     [
-        (Expression.monomial((3, 0)), [[1.0, 0.0], [1e200, 0.0]], None),
-        (Expression.input(2, 2), [[1.0, 0.0], [1.0, 0.0]], [1.0, -1e200]),
+        (Expression.monomial((3, 0)), [[1.0, 0.0], [1e200, 0.0]]),
+        (Expression.monomial((1, 2)), [[1.0, 0.0], [2.0, -1e200]]),
     ],
 )
-def test_evaluate_columns_overflow_raises_like_evaluate(expr, X, U):
+def test_evaluate_columns_overflow_raises_like_evaluate(expr, X):
     # a power that overflows raises, as the scalar ``v ** p`` does; np.power
     # would return inf instead
-    u = 0.0 if U is None else U[1]
     with pytest.raises(OverflowError) as scalar:
-        expr.evaluate(X[1], u)
+        expr.evaluate(X[1])
     with pytest.raises(OverflowError) as columns:
-        evaluate_columns([expr], np.array(X), None if U is None else np.array(U))
+        evaluate_columns([expr], np.array(X))
     assert str(columns.value) == str(scalar.value)
 
 
@@ -314,10 +306,5 @@ def test_evaluation_is_deterministic():
     rng = np.random.default_rng(3)
     e = make_random_expression(rng, max_terms=4)
     p = [0.37, -1.21]
-    values = {e.evaluate(p, 0.5) for _ in range(50)}
+    values = {e.evaluate(p) for _ in range(50)}
     assert len(values) == 1
-
-
-def test_strip_input():
-    e = parse_expression("2*x1*u + x2", 2)
-    assert e.strip_input() == parse_expression("2*x1 + x2", 2)
