@@ -28,6 +28,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ import numpy as np
 from . import control, data, dictionary, dynamics, lie, regression
 from .control import ControlSingularityError, ReferenceSignal
 from .data import DatasetError
-from .dictionary import LibrarySpec
+from .dictionary import LibrarySpec, integer
 from .dynamics import ControlAffineSystem, DivergenceError, InputSignal
 from .lie import RelativeDegreeError
 from .regression import RegressionConfig, RegressionError, SparseModel
@@ -65,24 +66,8 @@ _DEFAULT_CONFIG = {
         "phases": [0.0, 0.7, 1.9],
         "rate": 1.0,  # chirp only
     },
-    "library": {
-        "poly_order": 3,
-        "trig_orders": [],
-        "include_constant": True,
-        "output_state_index": 0,
-        "output_poly_order": 3,
-        "cross_trig": False,
-        "normalize_columns": False,
-    },
-    "regression": {
-        "lambda": 0.05,
-        "max_outer_iters": 25,
-        "max_alt_iters": 30,
-        "constraint_tol": 1e-6,
-        "coef_tol": 1e-10,
-        "constraint_mode": "per_sample",
-        "relative_degree": 2,
-    },
+    "library": asdict(LibrarySpec()),
+    "regression": {"lambda" if k == "lam" else k: v for k, v in asdict(RegressionConfig()).items()},
     "controller": {"gains": [5.0, 4.0], "poles": None},
     "stabilization": {
         "x0": [2.0, 0.0],
@@ -121,7 +106,9 @@ def _check_keys(section: dict, allowed: dict, path: str) -> None:
 class PipelineConfig:
     """Every config section, merged over the defaults and built into typed values.
 
-    Any bad value is a :class:`ConfigError` here, before a stage runs.
+    ``library`` and ``regression`` are the keywords of :class:`LibrarySpec` and
+    :class:`RegressionConfig` (``lambda`` is ``lam``). Any bad value or JSON type (a string
+    flag, a fractional ``steps`` or ``seed``) is a :class:`ConfigError` before a stage runs.
     """
 
     def __init__(self, raw: dict):
@@ -136,25 +123,9 @@ class PipelineConfig:
             self.system = self._build_system(merged["system"])
             self.simulation = self._build_run(merged["simulation"])
             self.excitation = self._build_excitation(merged["excitation"])
-            self.library = LibrarySpec(
-                poly_order=int(merged["library"]["poly_order"]),
-                trig_orders=tuple(merged["library"]["trig_orders"]),
-                include_constant=bool(merged["library"]["include_constant"]),
-                output_state_index=int(merged["library"]["output_state_index"]),
-                output_poly_order=int(merged["library"]["output_poly_order"]),
-                cross_trig=bool(merged["library"]["cross_trig"]),
-                normalize_columns=bool(merged["library"]["normalize_columns"]),
-            )
-            reg = merged["regression"]
-            self.regression = RegressionConfig(
-                lam=float(reg["lambda"]),
-                max_outer_iters=int(reg["max_outer_iters"]),
-                max_alt_iters=int(reg["max_alt_iters"]),
-                constraint_tol=float(reg["constraint_tol"]),
-                coef_tol=float(reg["coef_tol"]),
-                constraint_mode=str(reg["constraint_mode"]),
-                relative_degree=int(reg["relative_degree"]),
-            )
+            self.library = LibrarySpec(**merged["library"])
+            reg = {"lam" if k == "lambda" else k: v for k, v in merged["regression"].items()}
+            self.regression = RegressionConfig(**reg)
             self.gains, self.poles = self._build_controller(merged["controller"])
             self.scenarios = {
                 name: (
@@ -163,7 +134,7 @@ class PipelineConfig:
                 )
                 for name in ("stabilization", "tracking")
             }
-            self.seed = int(merged["seed"])
+            self.seed = integer(merged["seed"], "seed")
             self.out_dir = Path(merged["out_dir"])
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
@@ -180,7 +151,7 @@ class PipelineConfig:
         raise ConfigError(f"unknown system {name!r} (available: vdp, chain3)")
 
     def _build_run(self, section: dict) -> tuple[np.ndarray, float, int]:
-        dt, steps = float(section["dt"]), int(section["steps"])
+        dt, steps = float(section["dt"]), section["steps"]
         return dynamics.check_run(self.system.n, section["x0"], dt, steps), dt, steps
 
     @staticmethod
@@ -466,7 +437,7 @@ def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
     ]
     _write_csv(out_dir / "identified_vs_true.csv", header, rows)
 
-    summary = _summarize(cfg, model, chain, out_dir, stabilization)
+    summary = _summarize(cfg, model, chain, stabilization)
     _write_json(out_dir / "summary.json", summary)
     lines = ["Pipeline summary", "=" * 40]
     for key, value in summary.items():
@@ -479,7 +450,6 @@ def _summarize(
     cfg: PipelineConfig,
     model: SparseModel,
     chain: lie.LieChain,
-    out_dir: Path,
     stabilization: data.Dataset,
 ) -> dict:
     # coefficient error against the configured true plant
@@ -493,8 +463,6 @@ def _summarize(
     final_norm = float(np.linalg.norm(stabilization.X[-1]))
     max_u = float(np.max(np.abs(stabilization.U)))
 
-    outputs = {p.name for p in out_dir.iterdir() if p.is_file()}
-    outputs.update({"summary.json", "summary.txt"})  # written right after
     return {
         "seed": cfg.seed,
         "max_coefficient_error": max_err,
@@ -502,7 +470,11 @@ def _summarize(
         "constraint_residual": model.diagnostics.constraint_residual,
         "stabilization_final_state_norm": final_norm,
         "stabilization_max_input": max_u,
-        "outputs": sorted(outputs),
+        "outputs": [  # the files cmd_pipeline writes, not whatever else out_dir holds
+            "coefficients.csv", "controller.json", "dataset.csv", "identified_vs_true.csv",
+            "identify_report.txt", "lie.json", "lie_report.txt", "model.json",
+            "stabilization.csv", "summary.json", "summary.txt", "tracking.csv",
+        ],
     }
 
 

@@ -20,8 +20,10 @@ sample, so the symbolic and numeric views agree bit for bit.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product as _cartesian
 
 import numpy as np
@@ -36,9 +38,35 @@ __all__ = [
 ]
 
 
+def integer(value, name: str) -> int:
+    """``value`` as an int: a bool or a non-integral number is a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_fields(record) -> None:
+    """Check the int, float and bool fields of a frozen dataclass, each typed by its default.
+
+    Numpy numbers pass and are stored as Python numbers, so the record converts to JSON.
+    """
+    for f in fields(record):
+        kind, v = type(f.default), getattr(record, f.name)
+        if kind is int:
+            v = integer(v, f.name)
+        elif kind is float and (
+            isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v)
+        ):
+            raise ValueError(f"{f.name} must be a finite number, got {v!r}")
+        elif kind is bool and not isinstance(v, bool):
+            raise ValueError(f"{f.name} must be true or false, got {v!r}")
+        if kind in (int, float):
+            object.__setattr__(record, f.name, kind(v))
+
+
 @dataclass(frozen=True)
 class LibrarySpec:
-    """Shape of the candidate libraries."""
+    """Shape of the candidate libraries; its fields are the config's ``library`` keys."""
 
     poly_order: int = 3
     trig_orders: tuple[int, ...] = ()
@@ -49,17 +77,17 @@ class LibrarySpec:
     normalize_columns: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "trig_orders", tuple(int(j) for j in self.trig_orders))
-        if self.poly_order < 0:
-            raise ValueError("poly_order must be non-negative")
-        if not self.trig_orders and self.poly_order < 1:
+        check_fields(self)
+        orders = tuple(integer(j, "trig_orders") for j in self.trig_orders)
+        object.__setattr__(self, "trig_orders", orders)
+        for name in ("poly_order", "output_state_index", "output_poly_order"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+        if not orders and self.poly_order < 1:
             raise ValueError("library is degenerate: poly_order < 1 with no trig entries")
-        if any(j < 1 for j in self.trig_orders):
-            raise ValueError("trig orders must be positive integers")
-        if self.output_state_index < 0:
-            raise ValueError("output_state_index must be non-negative")
-        if self.output_poly_order < 0:
-            raise ValueError("output_poly_order must be non-negative")
+        # a repeated order would build identical columns
+        if any(j < 1 for j in orders) or len(set(orders)) < len(orders):
+            raise ValueError(f"trig_orders must be distinct positive integers, got {orders}")
 
 
 def _monomial_exponents(n: int, degree: int):

@@ -10,6 +10,7 @@ exact right-hand side at each sample (not a finite difference).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -169,8 +170,8 @@ def check_run(n: int, x0: Sequence[float], dt: float, steps: int) -> np.ndarray:
     """Check a run's start, step and length for an ``n``-state system; return x0 as an array."""
     if not 0 < dt < math.inf:  # a NaN fails the comparison too
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if steps < 2:
-        raise ValueError(f"steps must be at least 2, got {steps}")
+    if not isinstance(steps, numbers.Integral) or steps < 2:
+        raise ValueError(f"steps must be an integer of at least 2, got {steps!r}")
     x = np.array(x0, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"x0 must have {n} components, got shape {x.shape}")

@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import reduce
 
 import numpy as np
 
 from .data import Dataset
-from .dictionary import DictionarySet
+from .dictionary import DictionarySet, check_fields
 from .dynamics import ControlAffineSystem
 from .lie import lie_f
 from .symexpr import Expression, evaluate_columns, format_expression, format_terms, parse_expression
@@ -72,7 +72,7 @@ class InfeasibleSparsityError(RegressionError):
 
 @dataclass(frozen=True)
 class RegressionConfig:
-    """Knobs for the joint sparse regression."""
+    """Sparse-regression knobs: the config's ``regression`` keys, ``lam`` spelled ``lambda``."""
 
     lam: float = 0.05
     max_outer_iters: int = 25
@@ -83,10 +83,7 @@ class RegressionConfig:
     relative_degree: int = 2
 
     def __post_init__(self) -> None:
-        # NaN passes every ordered comparison below, so finiteness comes first
-        for name in ("lam", "constraint_tol", "coef_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        check_fields(self)  # NaN passes every ordered comparison below
         if self.lam < 0:
             raise ValueError("lam must be non-negative")
         if self.constraint_tol <= 0 or self.coef_tol <= 0:
@@ -116,16 +113,8 @@ class Diagnostics:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "state_residuals": list(self.state_residuals),
-            "output_residual": self.output_residual,
-            "constraint_residual": self.constraint_residual,
-            "active_counts": self.active_counts,
-            "alt_iterations": self.alt_iterations,
-            "stls_iterations": self.stls_iterations,
-            "converged": self.converged,
-            "notes": list(self.notes),
-        }
+        """The fields in order, tuples as lists."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -662,15 +651,7 @@ def model_to_dict(model: SparseModel) -> dict:
         out["theta_f_entries"] = ds.labels_f()
         out["theta_g_entries"] = ds.labels_g()
         out["phi_entries"] = ds.labels_phi()
-        out["library"] = {
-            "poly_order": ds.spec.poly_order,
-            "trig_orders": list(ds.spec.trig_orders),
-            "include_constant": ds.spec.include_constant,
-            "output_state_index": ds.spec.output_state_index,
-            "output_poly_order": ds.spec.output_poly_order,
-            "cross_trig": ds.spec.cross_trig,
-            "normalize_columns": ds.spec.normalize_columns,
-        }
+        out["library"] = asdict(ds.spec)
     return out
 
 
@@ -681,16 +662,10 @@ def model_from_dict(payload: dict) -> SparseModel:
     g = tuple(parse_expression(s, n_states) for s in payload["g"])
     c = parse_expression(payload["c"], n_states)
     diag_raw = payload.get("diagnostics", {})
-    diagnostics = Diagnostics(
-        state_residuals=tuple(diag_raw.get("state_residuals", ())),
-        output_residual=float(diag_raw.get("output_residual", 0.0)),
-        constraint_residual=diag_raw.get("constraint_residual"),
-        active_counts=diag_raw.get("active_counts", {}),
-        alt_iterations=int(diag_raw.get("alt_iterations", 0)),
-        stls_iterations=int(diag_raw.get("stls_iterations", 0)),
-        converged=bool(diag_raw.get("converged", False)),
-        notes=tuple(diag_raw.get("notes", ())),
-    )
+    diagnostics = Diagnostics(**{
+        f.name: tuple(diag_raw[f.name]) if isinstance(f.default, tuple) else diag_raw[f.name]
+        for f in fields(Diagnostics) if f.name in diag_raw
+    })
     return SparseModel(
         xi_tilde=np.array(payload["xi_tilde"], dtype=float),
         xi_hat=np.array(payload["xi_hat"], dtype=float),

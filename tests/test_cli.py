@@ -14,11 +14,15 @@ from sparsefl.cli import (
     EXIT_IDENTIFICATION,
     EXIT_OK,
     EXIT_RELATIVE_DEGREE,
+    PipelineConfig,
+    default_config,
     main,
 )
 from sparsefl.control import synthesize
+from sparsefl.dictionary import LibrarySpec
 from sparsefl.dynamics import vdp_system
 from sparsefl.lie import relative_degree
+from sparsefl.regression import RegressionConfig
 
 
 def run(args):
@@ -86,6 +90,12 @@ def test_object_for_scalar_config_key_rejected(tmp_path, raw, capsys):
     assert "must not be an object" in capsys.readouterr().err
 
 
+def test_default_config_builds_the_default_records():
+    cfg = PipelineConfig(default_config())
+    assert cfg.library == LibrarySpec()
+    assert cfg.regression == RegressionConfig()
+
+
 def test_chirp_excitation_via_config(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -116,16 +126,27 @@ NAN = float("nan")
         (["simulate", "--lambda", "0.1"], {"regression": None}),
         (["pipeline"], {"controller": {"gains": []}}),
         (["pipeline"], {"controller": {"gains": None, "poles": []}}),
+        (["pipeline"], {"library": {"normalize_columns": "false"}}),
+        (["pipeline"], {"library": {"include_constant": "no"}}),
+        (["pipeline"], {"library": {"poly_order": 2.9}}),
+        (["pipeline"], {"regression": {"relative_degree": True}}),
+        (["pipeline"], {"library": {"trig_orders": [1, 1]}}),
+        (["simulate"], {"simulation": {"steps": 99.7}}),
+        (["pipeline"], {"stabilization": {"steps": 1000.5}}),
+        (["pipeline"], {"seed": 1.5}),
     ],
     ids=[
         "reference-kind", "pole-pair", "gains-not-list", "tracking-dt-nan",
         "simulation-dt-nan", "amplitude-nan", "tracking-x0-shape", "unused-controller",
         "poles-flag-into-number", "lambda-flag-into-null", "gains-empty", "poles-empty",
+        "flag-string", "flag-word", "poly-order-float", "relative-degree-bool",
+        "trig-orders-repeated", "steps-float", "scenario-steps-float", "seed-float",
     ],
 )
 def test_config_errors_exit_before_any_stage_writes(tmp_path, command, raw):
-    # each of these used to crash (exit 1), report a divergence (exit 4) or
-    # exit 2 only after the earlier stages had written their files
+    # each of these used to crash (exit 1), report a divergence (exit 4),
+    # exit 2 only after the earlier stages had written their files, or run
+    # with a silently coerced value (exit 0)
     cfg = write_config(tmp_path, raw)  # json.dumps writes a NaN as NaN
     out = tmp_path / "run"
     assert run([*command, "--config", cfg, "--out", out]) == EXIT_CONFIG
@@ -351,6 +372,8 @@ def test_closedloop_corrupted_controller(tmp_path, capsys):
 
 def test_pipeline_end_to_end(tmp_path):
     out = tmp_path / "run"
+    out.mkdir()
+    (out / "old.txt").write_text("left over from an earlier run\n")
     assert run(["pipeline", "--out", out]) == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
     assert summary["relative_degree"] == 2
@@ -371,7 +394,9 @@ def test_pipeline_end_to_end(tmp_path):
         "summary.json",
         "summary.txt",
     }
-    assert expected_files <= set(summary["outputs"])
+    # the files this run wrote, not whatever else the directory holds
+    assert summary["outputs"] == sorted(expected_files)
+    assert {p.name for p in out.iterdir()} == expected_files | {"old.txt"}
     overlay = list(csv.DictReader((out / "identified_vs_true.csv").open()))
     # the true columns are the identification data itself
     dataset = list(csv.DictReader((out / "dataset.csv").open()))

@@ -85,6 +85,36 @@ def test_degenerate_library_rejected():
         LibrarySpec(poly_order=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("poly_order", 2.9),
+        ("output_poly_order", True),
+        ("include_constant", "no"),
+        ("normalize_columns", 0),
+        ("trig_orders", (1.5,)),
+        ("trig_orders", (True,)),
+        ("trig_orders", (0,)),
+    ],
+)
+def test_library_spec_rejects_wrong_types(field, value):
+    with pytest.raises(ValueError, match=field):
+        LibrarySpec(**{field: value})
+
+
+def test_repeated_trig_order_rejected():
+    # (1, 1) would build every sin/cos column twice: theta loses rank and
+    # the coefficient table, keyed by label, drops one of each pair
+    with pytest.raises(ValueError, match="distinct"):
+        LibrarySpec(trig_orders=(1, 2, 1))
+
+
+def test_library_spec_accepts_numpy_scalars():
+    spec = LibrarySpec(poly_order=np.int64(3), trig_orders=np.array([1, 2]))
+    assert spec == LibrarySpec(trig_orders=(1, 2))
+    assert type(spec.poly_order) is int and all(type(j) is int for j in spec.trig_orders)
+
+
 def test_output_index_out_of_range():
     with pytest.raises(ValueError, match="output_state_index"):
         build_dictionaries(LibrarySpec(output_state_index=2), random_dataset(n=2))

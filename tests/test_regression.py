@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -200,11 +202,21 @@ def test_threshold_rejects_bad_lambda(lam):
         ("max_outer_iters", 0),
         ("max_alt_iters", 0),
         ("relative_degree", 0),
+        ("relative_degree", True),
+        ("max_alt_iters", 2.5),
+        ("lam", "0.05"),
+        ("coef_tol", False),
     ],
 )
 def test_regression_config_rejects_bad_setting(field, value):
     with pytest.raises(ValueError, match=field):
         RegressionConfig(**{field: value})
+
+
+def test_regression_config_accepts_numpy_scalars():
+    cfg = RegressionConfig(lam=np.float64(0.05), relative_degree=np.int64(2))
+    assert cfg == RegressionConfig()
+    assert type(cfg.lam) is float and type(cfg.relative_degree) is int
 
 
 # -- solver: oracle equivalence ------------------------------------------------------------
@@ -697,6 +709,14 @@ def test_model_json_round_trip(vdp_dicts, vdp_data):
     assert back.c == model.c
     assert np.array_equal(back.xi_tilde, model.xi_tilde)
     assert np.array_equal(back.zeta, model.zeta)
-    assert back.diagnostics.constraint_residual == model.diagnostics.constraint_residual
+    assert back.diagnostics == model.diagnostics
+    # to_dict is already the JSON form (tuples as lists, as the report prints them)
+    assert payload["diagnostics"] == json.loads(json.dumps(payload["diagnostics"]))
+    # through the JSON text too: the tuples come back from lists
+    assert model_from_dict(json.loads(json.dumps(payload))).diagnostics == model.diagnostics
+    assert LibrarySpec(**payload["library"]) == vdp_dicts.spec
+    spec = LibrarySpec(poly_order=2, trig_orders=(2, 1), cross_trig=True, normalize_columns=True)
+    other = dataclasses.replace(model, dictionaries=dataclasses.replace(vdp_dicts, spec=spec))
+    assert LibrarySpec(**model_to_dict(other)["library"]) == spec
     sys = back.system()
     assert sys.n == 2
