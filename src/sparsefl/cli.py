@@ -22,7 +22,6 @@ Exit codes: 0 success, 2 config error, 3 identification infeasible,
 from __future__ import annotations
 
 import argparse
-import cmath
 import copy
 import csv
 import json
@@ -36,7 +35,7 @@ import numpy as np
 from . import control, data, dictionary, dynamics, lie, regression
 from .control import ControlSingularityError, ReferenceSignal
 from .data import DatasetError
-from .dictionary import LibrarySpec, integer
+from .dictionary import LibrarySpec, integer, real
 from .dynamics import ControlAffineSystem, DivergenceError, InputSignal
 from .lie import RelativeDegreeError
 from .regression import RegressionConfig, RegressionError, SparseModel
@@ -136,7 +135,7 @@ class PipelineConfig:
             }
             self.seed = integer(merged["seed"], "seed")
             self.out_dir = Path(merged["out_dir"])
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        except (ValueError, LookupError, TypeError, OverflowError) as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
 
     @staticmethod
@@ -144,33 +143,31 @@ class PipelineConfig:
         name = section["name"]
         if name == "vdp":
             return dynamics.vdp_system(
-                float(section["theta"]), float(section["sigma"]), float(section["mu"])
+                *(real(section[k], f"system.{k}") for k in ("theta", "sigma", "mu"))
             )
         if name == "chain3":
             return dynamics.chain_integrator_system(3)
         raise ConfigError(f"unknown system {name!r} (available: vdp, chain3)")
 
     def _build_run(self, section: dict) -> tuple[np.ndarray, float, int]:
-        dt, steps = float(section["dt"]), section["steps"]
+        dt, steps = real(section["dt"], "dt"), section["steps"]
         return dynamics.check_run(self.system.n, section["x0"], dt, steps), dt, steps
 
     @staticmethod
     def _build_excitation(section: dict) -> InputSignal:
         kind = section["kind"]
+        amps, freqs, phases = (
+            [real(v, f"excitation.{key}") for v in section[key]]
+            for key in ("amplitudes", "frequencies", "phases")
+        )
         if kind == "zero":
             return dynamics.zero_input()
         if kind == "constant":
-            return dynamics.constant_input(float(section["amplitudes"][0]))
+            return dynamics.constant_input(amps[0])
         if kind == "sine_sum":
-            return dynamics.sine_sum_input(
-                section["amplitudes"], section["frequencies"], section["phases"]
-            )
+            return dynamics.sine_sum_input(amps, freqs, phases)
         if kind == "chirp":
-            return dynamics.chirp_input(
-                float(section["amplitudes"][0]),
-                float(section["frequencies"][0]),
-                float(section["rate"]),
-            )
+            return dynamics.chirp_input(amps[0], freqs[0], real(section["rate"], "excitation.rate"))
         raise ConfigError(f"unknown excitation kind {kind!r}")
 
     @staticmethod
@@ -180,15 +177,17 @@ class PipelineConfig:
         if poles is not None:
             gains = None
             poles = tuple(
-                complex(*p) if isinstance(p, list) and len(p) == 2 else complex(p) for p in poles
+                complex(*(real(v, "controller.poles") for v in p))
+                if isinstance(p, list) and len(p) == 2
+                else complex(real(p, "controller.poles"))
+                for p in poles
             )
         elif gains is not None:
-            gains = tuple(float(a) for a in gains)
+            gains = tuple(real(a, "controller.gains") for a in gains)
         else:
             raise ConfigError("controller section must set gains or poles")
-        values = gains if poles is None else poles
-        if not values or not all(map(cmath.isfinite, values)):
-            raise ConfigError(f"controller gains and poles must be finite, non-empty: {values}")
+        if not (gains or poles):
+            raise ConfigError("controller gains and poles must not be empty")
         return gains, poles
 
     @staticmethod
@@ -197,13 +196,13 @@ class PipelineConfig:
         if kind == "zero":
             return control.zero_reference()
         if kind == "constant":
-            return control.constant_reference(float(section.get("amplitude", 0.0)))
+            amplitude = real(section.get("amplitude", 0.0), "reference.amplitude")
+            return control.constant_reference(amplitude)
         if kind == "sinusoid":
-            return control.sinusoid_reference(
-                float(section.get("amplitude", 1.0)),
-                float(section.get("frequency", 1.0)),
-                float(section.get("phase", 0.0)),
-            )
+            return control.sinusoid_reference(*(
+                real(section.get(key, default), f"reference.{key}")
+                for key, default in (("amplitude", 1.0), ("frequency", 1.0), ("phase", 0.0))
+            ))
         raise ConfigError(f"unknown reference kind {kind!r}")
 
 
@@ -234,7 +233,7 @@ def _load_json(path: str | Path, what: str, build=dict):
         return build(payload)
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}") from None
-    except (KeyError, TypeError, ValueError) as exc:  # bad JSON and bad UTF-8 included
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # bad JSON and UTF-8 too
         raise ConfigError(f"{what} {path} is corrupted: {exc}") from None
 
 

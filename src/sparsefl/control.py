@@ -18,8 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .dictionary import integer, real
 from .lie import LieChain, RelativeDegreeError
-from .symexpr import Expression, format_expression
+from .symexpr import Expression, format_expression, parse_expression
 
 __all__ = [
     "ControllerSpec",
@@ -193,17 +194,17 @@ class ControllerSpec:
 
     @staticmethod
     def from_dict(payload: dict) -> "ControllerSpec":
-        from .symexpr import parse_expression
-
-        n_states = int(payload["n_states"])
+        n_states = integer(payload["n_states"], "n_states")
         poles = payload.get("poles")
         return ControllerSpec(
-            relative_degree=int(payload["relative_degree"]),
+            relative_degree=integer(payload["relative_degree"], "relative_degree"),
             alpha=parse_expression(payload["alpha"], n_states),
             beta=parse_expression(payload["beta"], n_states),
             lf_chain=tuple(parse_expression(s, n_states) for s in payload["lf_chain"]),
-            gains=tuple(float(a) for a in payload["gains"]),
-            poles=None if poles is None else tuple(complex(p[0], p[1]) for p in poles),
+            gains=tuple(real(a, "gains") for a in payload["gains"]),
+            poles=None if poles is None else tuple(
+                complex(real(p[0], "poles"), real(p[1], "poles")) for p in poles
+            ),
         )
 
 
@@ -239,13 +240,10 @@ def synthesize(
             )
     if len(gains_arr) != r:
         raise ValueError(f"need {r} gains for relative degree {r}, got {len(gains_arr)}")
-    beta = chain.lg_mixed[r - 1]
-    if beta.is_zero(_BETA_RUNTIME_TOL):
-        raise RelativeDegreeError("decoupling term Lg Lf^(r-1) c is zero")
     return ControllerSpec(
         relative_degree=r,
         alpha=chain.lf_powers[r],
-        beta=beta,
+        beta=chain.lg_mixed[r - 1],
         lf_chain=tuple(chain.lf_powers[:r]),
         gains=tuple(float(a) for a in gains_arr),
         poles=pole_record,

@@ -45,6 +45,13 @@ def integer(value, name: str) -> int:
     return int(value)
 
 
+def real(value, name: str) -> float:
+    """``value`` as a float: a bool, a non-number, NaN or ±inf is a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def check_fields(record) -> None:
     """Check the int, float and bool fields of a frozen dataclass, each typed by its default.
 
@@ -53,15 +60,11 @@ def check_fields(record) -> None:
     for f in fields(record):
         kind, v = type(f.default), getattr(record, f.name)
         if kind is int:
-            v = integer(v, f.name)
-        elif kind is float and (
-            isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v)
-        ):
-            raise ValueError(f"{f.name} must be a finite number, got {v!r}")
+            object.__setattr__(record, f.name, integer(v, f.name))
+        elif kind is float:
+            object.__setattr__(record, f.name, real(v, f.name))
         elif kind is bool and not isinstance(v, bool):
             raise ValueError(f"{f.name} must be true or false, got {v!r}")
-        if kind in (int, float):
-            object.__setattr__(record, f.name, kind(v))
 
 
 @dataclass(frozen=True)

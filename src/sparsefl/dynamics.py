@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Dataset
+from .dictionary import real
 from .symexpr import Expression
 
 __all__ = [
@@ -175,6 +176,8 @@ def check_run(n: int, x0: Sequence[float], dt: float, steps: int) -> np.ndarray:
     x = np.array(x0, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"x0 must have {n} components, got shape {x.shape}")
+    for v in x0:
+        real(v, "x0")
     return x
 
 

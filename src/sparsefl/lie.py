@@ -9,6 +9,7 @@ regression: "zero for all x" means every term coefficient is negligible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .dynamics import ControlAffineSystem
 from .symexpr import Expression
@@ -16,6 +17,7 @@ from .symexpr import Expression
 __all__ = [
     "LieChain",
     "RelativeDegreeError",
+    "lie_derivative",
     "lie_f",
     "lie_g",
     "relative_degree",
@@ -29,24 +31,24 @@ class RelativeDegreeError(ValueError):
     """Relative degree undefined or incompatible with the requested operation."""
 
 
+def lie_derivative(e: Expression, field: Sequence[Expression]) -> Expression:
+    """Directional derivative of ``e`` along the vector field ``field``."""
+    if e.n_states != len(field):
+        raise ValueError(f"dimension mismatch: {e.n_states} vs {len(field)} states")
+    out = Expression.zero(len(field))
+    for i, component in enumerate(field):
+        out = out + e.partial(i) * component
+    return out
+
+
 def lie_f(e: Expression, sys: ControlAffineSystem) -> Expression:
     """Directional derivative of ``e`` along the drift field f."""
-    if e.n_states != sys.n:
-        raise ValueError(f"dimension mismatch: {e.n_states} vs {sys.n} states")
-    out = Expression.zero(sys.n)
-    for i in range(sys.n):
-        out = out + e.partial(i) * sys.f[i]
-    return out
+    return lie_derivative(e, sys.f)
 
 
 def lie_g(e: Expression, sys: ControlAffineSystem) -> Expression:
     """Directional derivative of ``e`` along the input field g."""
-    if e.n_states != sys.n:
-        raise ValueError(f"dimension mismatch: {e.n_states} vs {sys.n} states")
-    out = Expression.zero(sys.n)
-    for i in range(sys.n):
-        out = out + e.partial(i) * sys.g[i]
-    return out
+    return lie_derivative(e, sys.g)
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,9 @@ from functools import reduce
 import numpy as np
 
 from .data import Dataset
-from .dictionary import DictionarySet, check_fields
+from .dictionary import DictionarySet, check_fields, integer
 from .dynamics import ControlAffineSystem
-from .lie import lie_f
+from .lie import lie_derivative
 from .symexpr import Expression, evaluate_columns, format_expression, format_terms, parse_expression
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "InfeasibleSparsityError",
     "Diagnostics",
     "SparseModel",
-    "ThresholdResult",
     "threshold_pass",
     "GeneralConstraint",
     "solve",
@@ -138,22 +137,18 @@ class SparseModel:
         return ControlAffineSystem(f=self.f, g=self.g, c=self.c, n=self.n)
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
-    values: np.ndarray
-    active: np.ndarray  # boolean mask
-    infeasible: bool
+def threshold_pass(coeffs: np.ndarray, lam: float) -> np.ndarray:
+    """``coeffs`` with every entry of magnitude below ``lam``, and every -0.0, set to +0.0.
 
-
-def threshold_pass(coeffs: np.ndarray, lam: float) -> ThresholdResult:
-    """Zero every entry with magnitude below ``lam``; report the active set."""
+    The nonzero entries of the result are the active set.
+    """
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("lam must be finite and non-negative")
     values = np.array(coeffs, dtype=float)
-    active = np.abs(values) >= lam if lam > 0 else np.ones_like(values, dtype=bool)
-    active &= values != 0.0
-    values[~active] = 0.0
-    return ThresholdResult(values=values, active=active, infeasible=not active.any())
+    if lam > 0:
+        values[~(np.abs(values) >= lam)] = 0.0
+    values[values == 0.0] = 0.0  # a -0.0 becomes +0.0
+    return values
 
 
 # -- linear-algebra kernels ----------------------------------------------------
@@ -187,11 +182,6 @@ def _constrained_solve(A: np.ndarray, z: np.ndarray, C: np.ndarray | None) -> np
     return N @ _lstsq(A @ N, z)
 
 
-@dataclass
-class _StlsInfo:
-    iterations: int = 0
-
-
 def _stls(
     A: np.ndarray,
     z: np.ndarray,
@@ -199,22 +189,19 @@ def _stls(
     max_iter: int,
     constraint: np.ndarray | None = None,
     column_scale: np.ndarray | None = None,
-    info: _StlsInfo | None = None,
     what: str = "coefficients",
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """Sequential thresholded least squares with optional equality constraint.
 
     Solves on the current active columns, thresholds in raw units, and
     repeats until the active set stabilizes. ``column_scale`` (if given)
     conditions each solve by unit-normalizing columns; coefficients are
-    always returned and thresholded in raw units.
+    always returned and thresholded in raw units. Returns the coefficients
+    and the number of sweeps.
     """
     p = A.shape[1]
     active = np.ones(p, dtype=bool)
-    if info is None:
-        info = _StlsInfo()
-    for _ in range(max_iter):
-        info.iterations += 1
+    for sweep in range(1, max_iter + 1):
         # basic slicing on an all-active sweep: views, no boolean-mask gather
         cols = slice(None) if active.all() else active
         A_act = A[:, cols]
@@ -230,16 +217,17 @@ def _stls(
             w_act = w_act / scale
         w = np.zeros(p)
         w[cols] = w_act
-        result = threshold_pass(w, lam)
-        if result.infeasible:
+        w = threshold_pass(w, lam)
+        kept = w != 0.0
+        if not kept.any():
             if np.max(np.abs(z), initial=0.0) <= 1e-12:
-                return np.zeros(p)
+                return np.zeros(p), sweep
             raise InfeasibleSparsityError(
                 f"threshold {lam} removed every candidate for {what}; lower lambda"
             )
-        if np.array_equal(result.active, active):
-            return result.values
-        active = result.active
+        if np.array_equal(kept, active):
+            return w, sweep
+        active = kept
     raise RegressionError(
         f"thresholding did not stabilize for {what} after {max_iter} sweeps"
     )
@@ -284,7 +272,7 @@ class GeneralConstraint:
         if r < 2:
             raise ValueError("the chain constraint needs relative_degree >= 2")
         if r > n:
-            raise ValueError(f"relative_degree {r} exceeds state dimension {n}")
+            raise ValueError(f"relative_degree {r} exceeds the state dimension {n}")
         self.ds = ds
         self.d = d
         self.r = r
@@ -317,12 +305,10 @@ class GeneralConstraint:
     def _entry_levels(self, xi_tilde: np.ndarray) -> list[dict[int, np.ndarray]]:
         """The per-level gradient blocks of the output library along f(xi_tilde)."""
         if self.r > 2 and xi_tilde.tobytes() != self._levels_key:
-            n, zero = self.n, Expression.zero(self.n)
-            f = [_combine(xi_tilde[:, j], self.ds.theta_f_entries, n) for j in range(n)]
-            drift = ControlAffineSystem(f=f, g=[zero] * n, c=zero, n=n)
+            f = [_combine(xi_tilde[:, j], self.ds.theta_f_entries, self.n) for j in range(self.n)]
             chain = [list(self.ds.phi_entries)]
             for _ in range(self.r - 2):
-                chain.append([lie_f(e, drift) for e in chain[-1]])
+                chain.append([lie_derivative(e, f) for e in chain[-1]])
             self._levels = self._levels[:1] + self._partials(chain[1:])
             self._levels_key = xi_tilde.tobytes()
         return self._levels
@@ -389,27 +375,30 @@ def _reconstruct(
 def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     """Run the joint sparse regression and reconstruct the symbolic model.
 
-    Output and state coefficients are initialized by unconstrained
-    sequential thresholded least squares; when the relative-degree
-    constraint is enabled the solver then alternates constrained steps
-    (each linear in its block) until the coefficients stop moving, the
-    returned model satisfies the constraint to ``constraint_tol`` at every
-    sample, and the output coefficients are rescaled so their
-    largest entry is exactly 1 (the constraint only pins the zeta/xi_hat
-    product up to a common factor).
+    The coefficients live in one (p_x + p_u) x n array W whose column l is
+    [xi_tilde_l; xi_hat_l]. Output and state coefficients are initialized by
+    unconstrained sequential thresholded least squares; when the
+    relative-degree constraint is enabled the solver then alternates
+    constrained steps (each linear in its block) until the coefficients stop
+    moving, and the output coefficients are rescaled so their largest entry
+    is exactly 1 (the constraint only pins the zeta/xi_hat product up to a
+    common factor). The :class:`Diagnostics` record is built once, after
+    the solve. A run that did not converge, an all-zero output, or a
+    constraint residual above ``constraint_tol`` at some sample raises
+    :class:`RegressionError` carrying that full record.
     """
     if d.Xdot is None:
         raise RegressionError("dataset has no derivatives; estimate or measure Xdot first")
-    n = d.n
-    if cfg.constraint_enabled and cfg.relative_degree > n:
-        raise RegressionError(
-            f"relative_degree {cfg.relative_degree} exceeds the state dimension {n}"
-        )
-    p_x, p_u = ds.p_x, ds.p_u
-    block = p_x + p_u
+    gc = None
+    if cfg.constraint_enabled:
+        try:  # before any STLS: a relative degree above n fails fast
+            gc = GeneralConstraint(ds, d, cfg.relative_degree)
+        except ValueError as exc:
+            raise RegressionError(str(exc)) from None
+    n, p_x = d.n, ds.p_x
     theta = ds.theta
     notes: list[str] = []
-    info = _StlsInfo()
+    sweeps = 0
 
     def unit_scale(a):
         """Column norms that condition each solve (1 for a zero column)."""
@@ -421,16 +410,16 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
 
     col_scale, phi_scale = unit_scale(theta), unit_scale(ds.phi)
 
-    def zeta_stls(constraint=None):
-        return _stls(
-            ds.phi, d.Y, cfg.lam, cfg.max_outer_iters,
-            constraint=constraint, column_scale=phi_scale, info=info, what="the output equation",
-        )
+    def stls(a, z, scale, constraint, what):
+        nonlocal sweeps
+        w, k = _stls(a, z, cfg.lam, cfg.max_outer_iters, constraint, scale, what)
+        sweeps += k
+        return w
 
     joint: dict[tuple[int, ...], tuple] = {}
 
-    def states_stls(states, constraint):
-        """STLS of the given states' equations as one block-diagonal system."""
+    def states_stls(W, states, constraint):
+        """STLS of the given states' equations as one block-diagonal system into W[:, states]."""
         key = tuple(states)
         if key not in joint:
             joint[key] = (
@@ -439,48 +428,40 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
                 None if col_scale is None else np.tile(col_scale, len(states)),
             )
         a, z, scale = joint[key]
-        w = _stls(
-            a, z, cfg.lam, cfg.max_outer_iters,
-            constraint=constraint, column_scale=scale, info=info,
-            what="state equation " + ", ".join(f"dx{j + 1}/dt" for j in states),
-        )
-        return [w[s * block : (s + 1) * block] for s in range(len(states))]
+        what = "state equation " + ", ".join(f"dx{j + 1}/dt" for j in states)
+        W[:, states] = stls(a, z, scale, constraint, what).reshape(len(states), -1).T
 
     # unconstrained initialization
-    zeta = zeta_stls()
-    W_init = [states_stls([l], None)[0] for l in range(n)]
-    W = list(W_init)
+    zeta = stls(ds.phi, d.Y, phi_scale, None, "the output equation")
+    W_init = np.empty((theta.shape[1], n))
+    for l in range(n):
+        states_stls(W_init, [l], None)
+    W = W_init
     alt_iters = 0
     converged = True
-    constraint_residual: float | None = None
 
-    if cfg.constraint_enabled:
-        converged = False
+    if gc is not None:
         if np.max(np.abs(d.U)) == 0.0:
             warnings.warn(
                 "input is identically zero; the relative-degree constraint is vacuous",
                 stacklevel=2,
             )
-        gc = GeneralConstraint(ds, d, cfg.relative_degree)
         for alt_iters in range(1, cfg.max_alt_iters + 1):
-            prev = np.concatenate([np.concatenate(W), zeta])
+            W_prev, zeta_prev = W, zeta
             # state step: the coupled states jointly, chain frozen at the
             # current (zeta, xi_tilde); the others keep their initialization
-            states, C = gc.state_rows(zeta, np.column_stack([w[:p_x] for w in W]))
-            W = list(W_init)
+            states, C = gc.state_rows(zeta, W_prev[:p_x])
+            W = W_init.copy()
             if states:
-                for j, w in zip(states, states_stls(states, C)):
-                    W[j] = w
-            xi_tilde = np.column_stack([w[:p_x] for w in W])
-            xi_hat = np.column_stack([w[p_x:] for w in W])
-            zeta = zeta_stls(constraint=gc.zeta_rows(xi_tilde, xi_hat))
-            delta = np.max(np.abs(np.concatenate([np.concatenate(W), zeta]) - prev))
-            if delta < cfg.coef_tol:
-                converged = True
+                states_stls(W, states, C)
+            C = gc.zeta_rows(W[:p_x], W[p_x:])
+            zeta = stls(ds.phi, d.Y, phi_scale, C, "the output equation")
+            if max(np.max(np.abs(W - W_prev)), np.max(np.abs(zeta - zeta_prev))) < cfg.coef_tol:
                 break
-
-    xi_tilde = np.column_stack([w[:p_x] for w in W])
-    xi_hat = np.column_stack([w[p_x:] for w in W])
+        else:
+            converged = False
+            notes.append("coefficients still moving at max_alt_iters")
+    xi_tilde, xi_hat = W[:p_x], W[p_x:]
 
     # guard: an all-zero input channel makes every mixed Lie derivative vanish
     # and no feedback-linearizing law exists; keep the strongest candidate.
@@ -491,70 +472,47 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
         idx = np.unravel_index(np.argmax(np.abs(raw)), raw.shape)
         if raw[idx] != 0.0:
             xi_hat[idx] = raw[idx]
-            W[idx[1]][p_x + idx[0]] = raw[idx]
             notes.append(
                 "thresholding emptied the input-channel block; kept the "
                 f"largest candidate ({raw[idx]:.3g}) to preserve invertibility"
             )
 
+    # fix the output scale: the constraint couples zeta and xi_hat only up
+    # to a common factor, so pin the largest output coefficient to 1.
+    pivot = zeta[np.argmax(np.abs(zeta))] if gc is not None else 1.0
+    if pivot != 0.0 and pivot != 1.0:
+        zeta = zeta / pivot
+        if abs(pivot - 1.0) > 1e-9:
+            notes.append(f"output coefficients rescaled by 1/{pivot:.6g}")
+
     diagnostics = Diagnostics(
+        state_residuals=tuple(
+            float(np.linalg.norm(theta @ W[:, l] - d.Xdot[:, l])) for l in range(n)
+        ),
+        output_residual=float(np.linalg.norm(ds.phi @ zeta - d.Y)),
+        constraint_residual=None if gc is None else float(
+            np.max(np.abs(gc.residuals(zeta, xi_tilde, xi_hat)), initial=0.0)
+        ),
+        active_counts={
+            "xi_tilde": np.count_nonzero(xi_tilde, axis=0).tolist(),
+            "xi_hat": np.count_nonzero(xi_hat, axis=0).tolist(),
+            "zeta": int(np.count_nonzero(zeta)),
+        },
         alt_iterations=alt_iters,
-        stls_iterations=info.iterations,
+        stls_iterations=sweeps,
         converged=converged,
         notes=tuple(notes),
     )
-    if cfg.constraint_enabled and not converged:
-        diagnostics.notes += ("coefficients still moving at max_alt_iters",)
+    if not converged:
         raise RegressionError(
             f"alternating solver did not converge in {cfg.max_alt_iters} iterations",
             diagnostics,
         )
-
-    # fix the output scale: the constraint couples zeta and xi_hat only up
-    # to a common factor, so pin the largest output coefficient to 1.
-    if cfg.constraint_enabled:
-        idx = int(np.argmax(np.abs(zeta)))
-        pivot = zeta[idx]
-        if pivot == 0.0:
-            raise InfeasibleSparsityError(
-                "output coefficients are all zero; lower lambda", diagnostics
-            )
-        if pivot != 1.0:
-            zeta = zeta / pivot
-            if abs(pivot - 1.0) > 1e-9:
-                notes.append(f"output coefficients rescaled by 1/{pivot:.6g}")
-
-    # final diagnostics
-    state_residuals = tuple(
-        float(np.linalg.norm(theta @ W[l] - d.Xdot[:, l])) for l in range(n)
-    )
-    output_residual = float(np.linalg.norm(ds.phi @ zeta - d.Y))
-    if cfg.constraint_enabled:
-        res = gc.residuals(zeta, xi_tilde, xi_hat)
-        constraint_residual = float(np.max(np.abs(res), initial=0.0))
-
-    diagnostics = Diagnostics(
-        state_residuals=state_residuals,
-        output_residual=output_residual,
-        constraint_residual=constraint_residual,
-        active_counts={
-            "xi_tilde": [int(np.count_nonzero(xi_tilde[:, l])) for l in range(n)],
-            "xi_hat": [int(np.count_nonzero(xi_hat[:, l])) for l in range(n)],
-            "zeta": int(np.count_nonzero(zeta)),
-        },
-        alt_iterations=alt_iters,
-        stls_iterations=info.iterations,
-        converged=converged,
-        notes=tuple(notes),
-    )
-
-    if (
-        cfg.constraint_enabled
-        and constraint_residual is not None
-        and constraint_residual > cfg.constraint_tol
-    ):
+    if pivot == 0.0:
+        raise InfeasibleSparsityError("output coefficients are all zero; lower lambda", diagnostics)
+    if gc is not None and diagnostics.constraint_residual > cfg.constraint_tol:
         raise RegressionError(
-            f"constraint residual {constraint_residual:.3g} exceeds tolerance "
+            f"constraint residual {diagnostics.constraint_residual:.3g} exceeds tolerance "
             f"{cfg.constraint_tol:.3g}",
             diagnostics,
         )
@@ -657,7 +615,7 @@ def model_to_dict(model: SparseModel) -> dict:
 
 def model_from_dict(payload: dict) -> SparseModel:
     """Rebuild a SparseModel (without evaluated dictionaries) from JSON data."""
-    n_states = int(payload["n_states"])
+    n_states = integer(payload["n_states"], "n_states")
     f = tuple(parse_expression(s, n_states) for s in payload["f"])
     g = tuple(parse_expression(s, n_states) for s in payload["g"])
     c = parse_expression(payload["c"], n_states)

@@ -134,6 +134,15 @@ NAN = float("nan")
         (["simulate"], {"simulation": {"steps": 99.7}}),
         (["pipeline"], {"stabilization": {"steps": 1000.5}}),
         (["pipeline"], {"seed": 1.5}),
+        (["pipeline"], {"simulation": {"dt": "0.01"}}),
+        (["pipeline"], {"simulation": {"x0": ["2", "0"]}}),
+        (["pipeline"], {"simulation": {"x0": [True, 0]}}),
+        (["pipeline"], {"system": {"mu": "1"}}),
+        (["pipeline"], {"tracking": {"reference": {"kind": "sinusoid", "amplitude": "1"}}}),
+        (["pipeline"], {"excitation": {"amplitudes": ["1", "1", "1"]}}),
+        (["pipeline"], {"controller": {"gains": [True, 4.0]}}),
+        (["pipeline"], {"controller": {"gains": None, "poles": [["-1", 0], -2]}}),
+        (["simulate"], {"excitation": {"kind": "constant", "amplitudes": []}}),
     ],
     ids=[
         "reference-kind", "pole-pair", "gains-not-list", "tracking-dt-nan",
@@ -141,6 +150,8 @@ NAN = float("nan")
         "poles-flag-into-number", "lambda-flag-into-null", "gains-empty", "poles-empty",
         "flag-string", "flag-word", "poly-order-float", "relative-degree-bool",
         "trig-orders-repeated", "steps-float", "scenario-steps-float", "seed-float",
+        "dt-string", "x0-strings", "x0-bool", "system-param-string", "amplitude-string",
+        "excitation-strings", "gain-bool", "pole-string", "constant-amplitude-missing",
     ],
 )
 def test_config_errors_exit_before_any_stage_writes(tmp_path, command, raw):
@@ -161,6 +172,21 @@ def test_closedloop_non_finite_gain_is_corrupted_input(tmp_path, capsys):
     out = tmp_path / "run"
     assert run(["closedloop", "--controller", bad, "--out", out]) == EXIT_CONFIG
     assert "controller stage input" in capsys.readouterr().err
+    assert not any(out.rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "key, value", [("relative_degree", 2.7), ("gains", ["5", "4"]), ("n_states", True)]
+)
+def test_closedloop_wrong_json_type_is_corrupted_input(tmp_path, key, value, capsys):
+    # each used to be read as a number (2.7 as degree 2) and exit 0
+    spec = synthesize(relative_degree(vdp_system(1, 1, 1)), gains=[5.0, 4.0]).to_dict()
+    spec[key] = value
+    bad = tmp_path / "controller.json"
+    bad.write_text(json.dumps(spec))
+    out = tmp_path / "run"
+    assert run(["closedloop", "--controller", bad, "--out", out]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
     assert not any(out.rglob("*"))
 
 
@@ -281,6 +307,39 @@ def test_lie_model_with_input_in_f_is_config_error(tmp_path, model_path, capsys)
     bad.write_text(json.dumps(payload))
     assert run(["lie", "--model", bad, "--out", tmp_path / "run"]) == EXIT_CONFIG
     assert "unknown symbol 'u'" in capsys.readouterr().err
+
+
+def test_lie_fractional_state_count_is_config_error(tmp_path, model_path, capsys):
+    payload = json.loads(model_path.read_text())
+    payload["n_states"] = 2.9  # used to be read as 2
+    bad = tmp_path / "fractional.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "run"
+    assert run(["lie", "--model", bad, "--out", out]) == EXIT_CONFIG
+    assert "n_states must be an integer" in capsys.readouterr().err
+    assert not out.exists() or not any(out.rglob("*"))
+
+
+def test_identify_non_converged_prints_full_diagnostics(tmp_path, dataset_path, capsys):
+    # noisy output and derivatives need a second alternation step
+    rows = list(csv.reader(dataset_path.open()))
+    rng = np.random.default_rng(0)
+    noisy = [rows[0]] + [
+        [v if k < 4 else repr(float(v) + 1e-2 * rng.standard_normal()) for k, v in enumerate(row)]
+        for row in rows[1:]
+    ]
+    with dataset_path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(noisy)
+    cfg = write_config(tmp_path, {"regression": {"max_alt_iters": 1}})
+    out = tmp_path / "run"
+    code = run(["identify", "--data", dataset_path, "--config", cfg, "--out", out])
+    assert code == EXIT_IDENTIFICATION
+    err = capsys.readouterr().err
+    assert "did not converge" in err
+    diagnostics = err.split("diagnostics: ", 1)[1]
+    assert "'state_residuals': [" in diagnostics and "'state_residuals': []" not in diagnostics
+    assert "'active_counts': {'xi_tilde'" in diagnostics
+    assert not (out / "model.json").exists()
 
 
 def test_lie_corrupted_model_names_stage(tmp_path, capsys):

@@ -112,6 +112,13 @@ def test_bad_dt_is_value_error_not_divergence(dt):
         )
 
 
+@pytest.mark.parametrize("x0", [["2", "0"], [True, 0.0], [math.nan, 0.0]])
+def test_x0_entries_must_be_finite_numbers(x0):
+    # numpy read the strings and the bool as numbers; a NaN came back as a divergence
+    with pytest.raises(ValueError, match="x0 must be a finite number"):
+        integrate(vdp_system(1, 1, 1), x0, zero_input(), 0.01, 10)
+
+
 def test_vdp_limit_cycle_stays_bounded():
     # frozen reference values from a dt=1e-4 integration over 30 s
     d = integrate(vdp_system(1, 1, 1), [2.0, 0.0], zero_input(), 0.01, 3000)
