@@ -20,17 +20,15 @@ from .dictionary import DictionarySet, LibrarySpec, build_dictionaries
 from .dynamics import (
     ControlAffineSystem,
     DivergenceError,
-    InputSignal,
     chain_integrator_system,
     constant_input,
-    feedback_input,
     integrate,
     simulate_closed_loop,
     sine_sum_input,
     vdp_system,
     zero_input,
 )
-from .lie import LieChain, RelativeDegreeError, lie_f, lie_g, normal_form, relative_degree
+from .lie import LieChain, RelativeDegreeError, lie_derivative, relative_degree
 from .regression import (
     RegressionConfig,
     RegressionError,

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import json
 import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from . import control, data, dictionary, dynamics, lie, regression
 from .control import ControlSingularityError, ReferenceSignal
 from .data import DatasetError
 from .dictionary import LibrarySpec, integer, real
-from .dynamics import ControlAffineSystem, DivergenceError, InputSignal
+from .dynamics import ControlAffineSystem, DivergenceError
 from .lie import RelativeDegreeError
 from .regression import RegressionConfig, RegressionError, SparseModel
 
@@ -154,7 +154,7 @@ class PipelineConfig:
         return dynamics.check_run(self.system.n, section["x0"], dt, steps), dt, steps
 
     @staticmethod
-    def _build_excitation(section: dict) -> InputSignal:
+    def _build_excitation(section: dict) -> Callable[[float, np.ndarray], float]:
         kind = section["kind"]
         amps, freqs, phases = (
             [real(v, f"excitation.{key}") for v in section[key]]
@@ -276,17 +276,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [v if isinstance(v, str) else repr(float(v)) for v in row]
-            )
-
-
 def _read_dataset(path: Path) -> data.Dataset:
     try:
         return data.load_csv(path)
@@ -296,8 +285,8 @@ def _read_dataset(path: Path) -> data.Dataset:
         raise ConfigError(f"identify stage input is corrupted: {exc}") from None
 
 
-def _read_model(path: Path) -> SparseModel:
-    return _load_json(path, "model stage input", regression.model_from_dict)
+def _read_model(path: Path) -> ControlAffineSystem:
+    return _load_json(path, "model stage input", regression.system_from_dict)
 
 
 # -- stages ---------------------------------------------------------------------
@@ -310,15 +299,14 @@ def _read_model(path: Path) -> SparseModel:
 
 def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> data.Dataset:
     """Integrate the plant under the excitation; write dataset.csv and return it."""
-    if cfg.excitation.kind == "zero" and cfg.regression.constraint_enabled:
+    x0, dt, steps = cfg.simulation
+    ds = dynamics.integrate(cfg.system, x0, cfg.excitation, dt, steps)
+    if np.max(np.abs(ds.U)) == 0.0 and cfg.regression.constraint_enabled:
         print(
             "warning: zero excitation with the relative-degree constraint enabled "
             "downstream makes the constraint vacuous",
             file=sys.stderr,
         )
-    x0, dt, steps = cfg.simulation
-    ds = dynamics.integrate(cfg.system, x0, cfg.excitation, dt, steps)
-    out_dir.mkdir(parents=True, exist_ok=True)
     data.save_csv(ds, out_dir / "dataset.csv")
     return ds
 
@@ -333,7 +321,7 @@ def cmd_identify(d: data.Dataset, cfg: PipelineConfig, out_dir: Path) -> SparseM
 
     _write_json(out_dir / "model.json", regression.model_to_dict(model))
     labels, rows, columns = regression.coefficient_table(model)
-    _write_csv(
+    data.write_csv(
         out_dir / "coefficients.csv",
         ["entry"] + columns,
         ([lab] + row for lab, row in zip(labels, rows)),
@@ -350,8 +338,7 @@ def cmd_identify(d: data.Dataset, cfg: PipelineConfig, out_dir: Path) -> SparseM
     return model
 
 
-def cmd_lie(model: SparseModel, out_dir: Path) -> lie.LieChain:
-    system = model.system()
+def cmd_lie(system: ControlAffineSystem, out_dir: Path) -> lie.LieChain:
     chain = lie.relative_degree(system)
     payload = {
         "relative_degree": chain.relative_degree,
@@ -371,7 +358,7 @@ def cmd_lie(model: SparseModel, out_dir: Path) -> lie.LieChain:
     else:
         lines.append(f"relative degree: {chain.relative_degree} (state dimension {system.n})")
         if chain.relative_degree == system.n:
-            coords = lie.normal_form(system, chain)
+            coords = chain.lf_powers[: system.n]
             payload["normal_form"] = [str(e) for e in coords]
             lines.append("normal-form coordinates:")
             for i, e in enumerate(coords):
@@ -410,14 +397,15 @@ def cmd_closedloop(
     for i in range(traj.m):
         row = [traj.times[i], *traj.X[i], traj.U[i], traj.Y[i], reference.value(traj.times[i])]
         rows.append(row)
-    _write_csv(out_dir / f"{scenario}.csv", header, rows)
+    data.write_csv(out_dir / f"{scenario}.csv", header, rows)
     return traj
 
 
 def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
     true_traj = cmd_simulate(cfg, out_dir)
     model = cmd_identify(true_traj, cfg, out_dir)
-    chain = cmd_lie(model, out_dir)
+    identified = model.system()
+    chain = cmd_lie(identified, out_dir)
     spec = cmd_synthesize(chain, cfg, out_dir)
     stabilization = cmd_closedloop(spec, cfg, out_dir, "stabilization")
     cmd_closedloop(spec, cfg, out_dir, "tracking")
@@ -425,7 +413,7 @@ def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
     # overlay of the true plant (the identification data) and the identified
     # model from the same start
     x0, dt, steps = cfg.simulation
-    ident_traj = dynamics.integrate(model.system(), x0, cfg.excitation, dt, steps)
+    ident_traj = dynamics.integrate(identified, x0, cfg.excitation, dt, steps)
     header = (
         ["t"]
         + [f"x{i + 1}_true" for i in range(cfg.system.n)]
@@ -434,7 +422,7 @@ def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
     rows = [
         [true_traj.times[i], *true_traj.X[i], *ident_traj.X[i]] for i in range(true_traj.m)
     ]
-    _write_csv(out_dir / "identified_vs_true.csv", header, rows)
+    data.write_csv(out_dir / "identified_vs_true.csv", header, rows)
 
     summary = _summarize(cfg, model, chain, stabilization)
     _write_json(out_dir / "summary.json", summary)
@@ -571,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
             cmd_lie(_read_model(Path(args.model)), out_dir)
             print(f"wrote {out_dir / 'lie.json'}")
         elif args.command == "synthesize":
-            chain = lie.relative_degree(_read_model(Path(args.model)).system())
+            chain = lie.relative_degree(_read_model(Path(args.model)))
             cmd_synthesize(chain, cfg, out_dir)
             print(f"wrote {out_dir / 'controller.json'}")
         elif args.command == "closedloop":

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Dataset", "DatasetError", "load_csv", "save_csv", "estimate_derivatives"]
+__all__ = ["Dataset", "DatasetError", "load_csv", "save_csv", "write_csv", "estimate_derivatives"]
 
 _UNIFORM_REL_TOL = 1e-9
 
@@ -160,26 +160,21 @@ def load_csv(path: str | Path) -> Dataset:
     return Dataset(times, X, U, Y, Xdot=Xdot)
 
 
-def _fmt(v: float) -> str:
-    # repr() of a float is the shortest string that round-trips exactly.
-    return repr(float(v))
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write a header and rows; a number is written with repr, which reads back exactly."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, str) else repr(float(v)) for v in row])
 
 
 def save_csv(d: Dataset, path: str | Path) -> None:
     """Write a Dataset; loading the file back reproduces it exactly."""
-    path = Path(path)
-    with_xdot = d.Xdot is not None
-    header = _expected_header(d.n, with_xdot)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(d.m):
-            row = [_fmt(d.times[i])]
-            row += [_fmt(v) for v in d.X[i]]
-            row += [_fmt(d.U[i]), _fmt(d.Y[i])]
-            if with_xdot:
-                row += [_fmt(v) for v in d.Xdot[i]]
-            writer.writerow(row)
+    columns = [d.times, *d.X.T, d.U, d.Y] + ([] if d.Xdot is None else [*d.Xdot.T])
+    write_csv(path, _expected_header(d.n, d.Xdot is not None), np.column_stack(columns).tolist())
 
 
 def estimate_derivatives(d: Dataset) -> Dataset:

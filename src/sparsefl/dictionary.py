@@ -47,9 +47,12 @@ def integer(value, name: str) -> int:
 
 def real(value, name: str) -> float:
     """``value`` as a float: a bool, a non-number, NaN or ±inf is a ValueError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    try:
+        if not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int too large for a float
+        pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def check_fields(record) -> None:

@@ -23,18 +23,19 @@ from .symexpr import Expression
 __all__ = [
     "ControlAffineSystem",
     "DivergenceError",
-    "InputSignal",
     "zero_input",
     "constant_input",
     "sine_sum_input",
     "chirp_input",
-    "feedback_input",
     "vdp_system",
     "chain_integrator_system",
     "check_run",
     "integrate",
     "simulate_closed_loop",
 ]
+
+
+_Input = Callable[[float, np.ndarray], float]  # an input u(t, x), pure in (t, x)
 
 
 class DivergenceError(RuntimeError):
@@ -83,31 +84,20 @@ class ControlAffineSystem:
         return self.c.evaluate(x)
 
 
-@dataclass(frozen=True)
-class InputSignal:
-    """Excitation input; evaluation is a pure function of (t, x)."""
-
-    kind: str
-    fn: Callable[[float, np.ndarray], float]
-
-    def __call__(self, t: float, x: np.ndarray) -> float:
-        return self.fn(t, x)
+def zero_input() -> _Input:
+    return lambda t, x: 0.0
 
 
-def zero_input() -> InputSignal:
-    return InputSignal("zero", lambda t, x: 0.0)
-
-
-def constant_input(value: float) -> InputSignal:
+def constant_input(value: float) -> _Input:
     v = float(value)
-    return InputSignal("constant", lambda t, x: v)
+    return lambda t, x: v
 
 
 def sine_sum_input(
     amplitudes: Sequence[float],
     frequencies: Sequence[float],
     phases: Sequence[float] | None = None,
-) -> InputSignal:
+) -> _Input:
     """Sum of sinusoids; incommensurate frequencies give a persistently exciting input."""
     amps = [float(a) for a in amplitudes]
     freqs = [float(w) for w in frequencies]
@@ -118,16 +108,12 @@ def sine_sum_input(
     def fn(t: float, x: np.ndarray) -> float:
         return sum(a * math.sin(w * t + p) for a, w, p in zip(amps, freqs, phs))
 
-    return InputSignal("sine_sum", fn)
+    return fn
 
 
-def chirp_input(amplitude: float, f0: float, rate: float, phase: float = 0.0) -> InputSignal:
+def chirp_input(amplitude: float, f0: float, rate: float, phase: float = 0.0) -> _Input:
     a, w0, k, p = float(amplitude), float(f0), float(rate), float(phase)
-    return InputSignal("chirp", lambda t, x: a * math.sin((w0 + k * t) * t + p))
-
-
-def feedback_input(law: Callable[[float, np.ndarray], float]) -> InputSignal:
-    return InputSignal("feedback", law)
+    return lambda t, x: a * math.sin((w0 + k * t) * t + p)
 
 
 def vdp_system(theta: float, sigma: float, mu: float) -> ControlAffineSystem:
@@ -184,7 +170,7 @@ def check_run(n: int, x0: Sequence[float], dt: float, steps: int) -> np.ndarray:
 def integrate(
     sys: ControlAffineSystem,
     x0: Sequence[float],
-    input_signal: InputSignal,
+    input_signal: _Input,
     dt: float,
     steps: int,
 ) -> Dataset:
@@ -249,5 +235,6 @@ def simulate_closed_loop(
         raise ValueError(
             f"controller state dimension {n_ctrl} does not match system dimension {sys.n}"
         )
-    law = feedback_input(lambda t, x: controller.control_value(x, reference, t))
-    return integrate(sys, x0, law, dt, steps)
+    return integrate(
+        sys, x0, lambda t, x: controller.control_value(x, reference, t), dt, steps
+    )

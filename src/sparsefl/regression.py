@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -53,7 +53,7 @@ __all__ = [
     "format_coefficient_table",
     "discovered_equations",
     "model_to_dict",
-    "model_from_dict",
+    "system_from_dict",
 ]
 
 
@@ -127,7 +127,7 @@ class SparseModel:
     g: tuple[Expression, ...]
     c: Expression
     diagnostics: Diagnostics
-    dictionaries: DictionarySet | None = None
+    dictionaries: DictionarySet
 
     @property
     def n(self) -> int:
@@ -542,8 +542,6 @@ def coefficient_table(model: SparseModel) -> tuple[list[str], list[list[float]],
     coefficients on the matching output-library row.
     """
     ds = model.dictionaries
-    if ds is None:
-        raise ValueError("model carries no dictionary entries")
     n = model.n
     base_labels = ds.labels_f()
     label_index = {lab: i for i, lab in enumerate(base_labels)}
@@ -593,9 +591,13 @@ def discovered_equations(model: SparseModel, digits: int | None = 4) -> list[str
 
 
 def model_to_dict(model: SparseModel) -> dict:
-    """JSON-ready form: entries as expression strings, coefficient arrays."""
+    """JSON-ready form: entries as expression strings, coefficient arrays.
+
+    :func:`system_from_dict` reads back ``n_states``, ``f``, ``g`` and ``c``; the
+    other keys are for reports.
+    """
     ds = model.dictionaries
-    out = {
+    return {
         "n_states": model.c.n_states,
         "xi_tilde": model.xi_tilde.tolist(),
         "xi_hat": model.xi_hat.tolist(),
@@ -604,33 +606,19 @@ def model_to_dict(model: SparseModel) -> dict:
         "g": [str(e) for e in model.g],
         "c": str(model.c),
         "diagnostics": model.diagnostics.to_dict(),
+        "theta_f_entries": ds.labels_f(),
+        "theta_g_entries": ds.labels_g(),
+        "phi_entries": ds.labels_phi(),
+        "library": asdict(ds.spec),
     }
-    if ds is not None:
-        out["theta_f_entries"] = ds.labels_f()
-        out["theta_g_entries"] = ds.labels_g()
-        out["phi_entries"] = ds.labels_phi()
-        out["library"] = asdict(ds.spec)
-    return out
 
 
-def model_from_dict(payload: dict) -> SparseModel:
-    """Rebuild a SparseModel (without evaluated dictionaries) from JSON data."""
-    n_states = integer(payload["n_states"], "n_states")
-    f = tuple(parse_expression(s, n_states) for s in payload["f"])
-    g = tuple(parse_expression(s, n_states) for s in payload["g"])
-    c = parse_expression(payload["c"], n_states)
-    diag_raw = payload.get("diagnostics", {})
-    diagnostics = Diagnostics(**{
-        f.name: tuple(diag_raw[f.name]) if isinstance(f.default, tuple) else diag_raw[f.name]
-        for f in fields(Diagnostics) if f.name in diag_raw
-    })
-    return SparseModel(
-        xi_tilde=np.array(payload["xi_tilde"], dtype=float),
-        xi_hat=np.array(payload["xi_hat"], dtype=float),
-        zeta=np.array(payload["zeta"], dtype=float),
-        f=f,
-        g=g,
-        c=c,
-        diagnostics=diagnostics,
-        dictionaries=None,
+def system_from_dict(payload: dict) -> ControlAffineSystem:
+    """The identified plant of a :func:`model_to_dict` payload."""
+    n = integer(payload["n_states"], "n_states")
+    return ControlAffineSystem(
+        f=tuple(parse_expression(s, n) for s in payload["f"]),
+        g=tuple(parse_expression(s, n) for s in payload["g"]),
+        c=parse_expression(payload["c"], n),
+        n=n,
     )

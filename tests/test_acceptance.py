@@ -23,7 +23,7 @@ from sparsefl.dynamics import (
     vdp_system,
     zero_input,
 )
-from sparsefl.lie import lie_f, lie_g, relative_degree
+from sparsefl.lie import lie_derivative, relative_degree
 from sparsefl.regression import GeneralConstraint, RegressionConfig, solve
 from sparsefl.symexpr import Expression, evaluate_columns, parse_expression
 
@@ -263,10 +263,10 @@ def test_criterion_8_symbolic_calculus():
         chain = GeneralConstraint(ds, d, r).residuals(zeta, xi_tilde, xi_hat)
         lf_c = model.c
         for k in range(r - 1):
-            direct = evaluate_columns([lie_g(lf_c, model)], d.X)[:, 0] * d.U
+            direct = evaluate_columns([lie_derivative(lf_c, model.g)], d.X)[:, 0] * d.U
             routes_ok = routes_ok and bool(np.allclose(chain[k], direct, rtol=1e-9, atol=1e-9))
             routes_ok = routes_ok and np.max(np.abs(direct)) > 1e-3
-            lf_c = lie_f(lf_c, model)
+            lf_c = lie_derivative(lf_c, model.f)
 
     report(
         8,

@@ -69,9 +69,13 @@ def test_simulate_single_step_is_config_error(tmp_path):
 
 
 def test_simulate_zero_excitation_warns_when_constraint_on(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"excitation": {"kind": "zero"}})
-    assert run(["simulate", "--config", cfg, "--out", tmp_path]) == EXIT_OK
-    assert "vacuous" in capsys.readouterr().err
+    # the warning follows the simulated input, not the excitation's kind
+    for excitation in ({"kind": "zero"}, {"kind": "sine_sum", "amplitudes": [0, 0, 0]}):
+        cfg = write_config(tmp_path, {"excitation": excitation})
+        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == EXIT_OK
+        assert "vacuous" in capsys.readouterr().err
+    assert run(["simulate", "--out", tmp_path]) == EXIT_OK
+    assert "vacuous" not in capsys.readouterr().err
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -112,37 +116,42 @@ NAN = float("nan")
 
 
 @pytest.mark.parametrize(
-    "command, raw",
+    "command, raw, named",
     [
-        (["pipeline"], {"stabilization": {"reference": {"kind": "bogus"}}}),
-        (["pipeline"], {"controller": {"gains": None, "poles": [[1]]}}),
-        (["pipeline"], {"controller": {"gains": 5}}),
-        (["pipeline"], {"tracking": {"dt": NAN}}),
-        (["simulate"], {"simulation": {"dt": NAN}}),
-        (["pipeline"], {"excitation": {"amplitudes": [NAN, 1.0, 1.0]}}),
-        (["pipeline"], {"tracking": {"x0": [1, 2, 3]}}),
-        (["simulate"], {"controller": {"gains": None, "poles": None}}),
-        (["simulate", "--poles", "-1"], {"controller": 5}),
-        (["simulate", "--lambda", "0.1"], {"regression": None}),
-        (["pipeline"], {"controller": {"gains": []}}),
-        (["pipeline"], {"controller": {"gains": None, "poles": []}}),
-        (["pipeline"], {"library": {"normalize_columns": "false"}}),
-        (["pipeline"], {"library": {"include_constant": "no"}}),
-        (["pipeline"], {"library": {"poly_order": 2.9}}),
-        (["pipeline"], {"regression": {"relative_degree": True}}),
-        (["pipeline"], {"library": {"trig_orders": [1, 1]}}),
-        (["simulate"], {"simulation": {"steps": 99.7}}),
-        (["pipeline"], {"stabilization": {"steps": 1000.5}}),
-        (["pipeline"], {"seed": 1.5}),
-        (["pipeline"], {"simulation": {"dt": "0.01"}}),
-        (["pipeline"], {"simulation": {"x0": ["2", "0"]}}),
-        (["pipeline"], {"simulation": {"x0": [True, 0]}}),
-        (["pipeline"], {"system": {"mu": "1"}}),
-        (["pipeline"], {"tracking": {"reference": {"kind": "sinusoid", "amplitude": "1"}}}),
-        (["pipeline"], {"excitation": {"amplitudes": ["1", "1", "1"]}}),
-        (["pipeline"], {"controller": {"gains": [True, 4.0]}}),
-        (["pipeline"], {"controller": {"gains": None, "poles": [["-1", 0], -2]}}),
-        (["simulate"], {"excitation": {"kind": "constant", "amplitudes": []}}),
+        (["pipeline"], {"stabilization": {"reference": {"kind": "bogus"}}}, "kind"),
+        (["pipeline"], {"controller": {"gains": None, "poles": [[1]]}}, "poles"),
+        (["pipeline"], {"controller": {"gains": 5}}, None),
+        (["pipeline"], {"tracking": {"dt": NAN}}, "dt"),
+        (["simulate"], {"simulation": {"dt": NAN}}, "dt"),
+        (["pipeline"], {"excitation": {"amplitudes": [NAN, 1.0, 1.0]}}, "amplitudes"),
+        (["pipeline"], {"tracking": {"x0": [1, 2, 3]}}, "x0"),
+        (["simulate"], {"controller": {"gains": None, "poles": None}}, "gains"),
+        (["simulate", "--poles", "-1"], {"controller": 5}, "controller"),
+        (["simulate", "--lambda", "0.1"], {"regression": None}, "regression"),
+        (["pipeline"], {"controller": {"gains": []}}, "gains"),
+        (["pipeline"], {"controller": {"gains": None, "poles": []}}, "poles"),
+        (["pipeline"], {"library": {"normalize_columns": "false"}}, "normalize_columns"),
+        (["pipeline"], {"library": {"include_constant": "no"}}, "include_constant"),
+        (["pipeline"], {"library": {"poly_order": 2.9}}, "poly_order"),
+        (["pipeline"], {"regression": {"relative_degree": True}}, "relative_degree"),
+        (["pipeline"], {"library": {"trig_orders": [1, 1]}}, "trig_orders"),
+        (["simulate"], {"simulation": {"steps": 99.7}}, "steps"),
+        (["pipeline"], {"stabilization": {"steps": 1000.5}}, "steps"),
+        (["pipeline"], {"seed": 1.5}, "seed"),
+        (["pipeline"], {"simulation": {"dt": "0.01"}}, "dt"),
+        (["pipeline"], {"simulation": {"x0": ["2", "0"]}}, "x0"),
+        (["pipeline"], {"simulation": {"x0": [True, 0]}}, "x0"),
+        (["pipeline"], {"system": {"mu": "1"}}, "mu"),
+        (
+            ["pipeline"],
+            {"tracking": {"reference": {"kind": "sinusoid", "amplitude": "1"}}},
+            "amplitude",
+        ),
+        (["pipeline"], {"excitation": {"amplitudes": ["1", "1", "1"]}}, "amplitudes"),
+        (["pipeline"], {"controller": {"gains": [True, 4.0]}}, "gains"),
+        (["pipeline"], {"controller": {"gains": None, "poles": [["-1", 0], -2]}}, "poles"),
+        (["simulate"], {"excitation": {"kind": "constant", "amplitudes": []}}, None),
+        (["simulate"], {"simulation": {"dt": 10**400}}, "dt"),
     ],
     ids=[
         "reference-kind", "pole-pair", "gains-not-list", "tracking-dt-nan",
@@ -152,16 +161,19 @@ NAN = float("nan")
         "trig-orders-repeated", "steps-float", "scenario-steps-float", "seed-float",
         "dt-string", "x0-strings", "x0-bool", "system-param-string", "amplitude-string",
         "excitation-strings", "gain-bool", "pole-string", "constant-amplitude-missing",
+        "dt-overflow",
     ],
 )
-def test_config_errors_exit_before_any_stage_writes(tmp_path, command, raw):
+def test_config_errors_exit_before_any_stage_writes(tmp_path, capsys, command, raw, named):
     # each of these used to crash (exit 1), report a divergence (exit 4),
-    # exit 2 only after the earlier stages had written their files, or run
-    # with a silently coerced value (exit 0)
+    # exit 2 only after the earlier stages had written their files, run
+    # with a silently coerced value (exit 0), or not name the key
     cfg = write_config(tmp_path, raw)  # json.dumps writes a NaN as NaN
     out = tmp_path / "run"
     assert run([*command, "--config", cfg, "--out", out]) == EXIT_CONFIG
     assert not out.exists() or not any(out.rglob("*"))
+    if named is not None:
+        assert named in capsys.readouterr().err
 
 
 def test_closedloop_non_finite_gain_is_corrupted_input(tmp_path, capsys):
@@ -196,7 +208,7 @@ def test_nested_reference_replaces_the_default_whole(tmp_path):
     cfg = write_config(tmp_path, {"stabilization": {"reference": {"kind": "sinusoid"}}})
     out = tmp_path / "run"
     assert run(["pipeline", "--config", cfg, "--out", out]) == EXIT_OK
-    rows = list(csv.DictReader((out / "stabilization.csv").open()))
+    rows = list(csv.DictReader((out / "stabilization.csv").read_text().splitlines()))
     assert all(float(r["r"]) == math.sin(float(r["t"])) for r in rows)
     assert max(abs(float(r["r"])) for r in rows) > 0.99
 
@@ -216,7 +228,7 @@ def test_identify_recovers_demo_model(tmp_path, dataset_path):
     assert model["f"][0] == "x2"
     report = (tmp_path / "identify_report.txt").read_text()
     assert "dx2/dt" in report and "x1^2*x2" in report
-    table = list(csv.reader((tmp_path / "coefficients.csv").open()))
+    table = list(csv.reader((tmp_path / "coefficients.csv").read_text().splitlines()))
     assert table[0] == ["entry", "xi_tilde_1", "xi_hat_1", "xi_tilde_2", "xi_hat_2", "zeta"]
     by_entry = {row[0]: row[1:] for row in table[1:]}
     assert float(by_entry["x2"][0]) == pytest.approx(1.0, abs=0.05)
@@ -322,7 +334,7 @@ def test_lie_fractional_state_count_is_config_error(tmp_path, model_path, capsys
 
 def test_identify_non_converged_prints_full_diagnostics(tmp_path, dataset_path, capsys):
     # noisy output and derivatives need a second alternation step
-    rows = list(csv.reader(dataset_path.open()))
+    rows = list(csv.reader(dataset_path.read_text().splitlines()))
     rng = np.random.default_rng(0)
     noisy = [rows[0]] + [
         [v if k < 4 else repr(float(v) + 1e-2 * rng.standard_normal()) for k, v in enumerate(row)]
@@ -371,6 +383,21 @@ def test_synthesize_internal_dynamics_exit_code(tmp_path, model_path):
     assert run(["synthesize", "--model", bad, "--out", tmp_path]) == EXIT_RELATIVE_DEGREE
 
 
+def test_lie_and_synthesize_read_only_the_plant(tmp_path, model_path):
+    # the coefficient arrays, diagnostics and library of model.json are for reports
+    payload = json.loads(model_path.read_text())
+    for key in ("xi_tilde", "xi_hat", "zeta", "diagnostics", "library"):
+        del payload[key]
+    stripped = tmp_path / "stripped.json"
+    stripped.write_text(json.dumps(payload))
+    full_out, stripped_out = tmp_path / "full", tmp_path / "stripped"
+    for model, out in ((model_path, full_out), (stripped, stripped_out)):
+        assert run(["lie", "--model", model, "--out", out]) == EXIT_OK
+        assert run(["synthesize", "--model", model, "--out", out]) == EXIT_OK
+    for name in ("lie.json", "lie_report.txt", "controller.json"):
+        assert (full_out / name).read_bytes() == (stripped_out / name).read_bytes(), name
+
+
 # -- closedloop -----------------------------------------------------------------------------
 
 
@@ -382,7 +409,7 @@ def controller_path(tmp_path, model_path):
 
 def test_closedloop_stabilization(tmp_path, controller_path):
     assert run(["closedloop", "--controller", controller_path, "--out", tmp_path]) == EXIT_OK
-    rows = list(csv.DictReader((tmp_path / "stabilization.csv").open()))
+    rows = list(csv.DictReader((tmp_path / "stabilization.csv").read_text().splitlines()))
     final = rows[-1]
     assert np.hypot(float(final["x1"]), float(final["x2"])) <= 1e-2
     assert rows[0]["r"] == "0.0"
@@ -394,7 +421,7 @@ def test_closedloop_tracking(tmp_path, controller_path):
         "--scenario", "tracking",
     ])
     assert code == EXIT_OK
-    rows = list(csv.DictReader((tmp_path / "tracking.csv").open()))
+    rows = list(csv.DictReader((tmp_path / "tracking.csv").read_text().splitlines()))
     late = [r for r in rows if float(r["t"]) >= 5.0]
     err = max(abs(float(r["y"]) - float(r["r"])) for r in late)
     assert err <= 0.05
@@ -415,7 +442,7 @@ def test_closedloop_unstable_gains_still_simulates(tmp_path, model_path):
         "--config", cfg, "--out", tmp_path,
     ])
     assert code == EXIT_OK
-    rows = list(csv.DictReader((tmp_path / "stabilization.csv").open()))
+    rows = list(csv.DictReader((tmp_path / "stabilization.csv").read_text().splitlines()))
     assert len(rows) == 301
 
 
@@ -456,9 +483,9 @@ def test_pipeline_end_to_end(tmp_path):
     # the files this run wrote, not whatever else the directory holds
     assert summary["outputs"] == sorted(expected_files)
     assert {p.name for p in out.iterdir()} == expected_files | {"old.txt"}
-    overlay = list(csv.DictReader((out / "identified_vs_true.csv").open()))
+    overlay = list(csv.DictReader((out / "identified_vs_true.csv").read_text().splitlines()))
     # the true columns are the identification data itself
-    dataset = list(csv.DictReader((out / "dataset.csv").open()))
+    dataset = list(csv.DictReader((out / "dataset.csv").read_text().splitlines()))
     assert [r["x1_true"] for r in overlay] == [r["x1"] for r in dataset]
     drift = max(
         abs(float(r["x1_true"]) - float(r["x1_identified"])) for r in overlay

@@ -7,14 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import default_excitation
 from sparsefl.control import sinusoid_reference, synthesize, zero_reference
 from sparsefl.dynamics import (
     ControlAffineSystem,
     DivergenceError,
     chain_integrator_system,
     constant_input,
-    feedback_input,
     integrate,
     simulate_closed_loop,
     sine_sum_input,
@@ -171,8 +169,7 @@ def test_closed_loop_equals_feedback_input_bit_for_bit():
     spec = synthesize(relative_degree(sys), gains=[5.0, 4.0])
     ref = sinusoid_reference(1.0, 1.0, 0.0)
     a = simulate_closed_loop(sys, spec, ref, [2.0, 0.0], 0.01, 300)
-    law = feedback_input(lambda t, x: spec.control_value(x, ref, t))
-    b = integrate(sys, [2.0, 0.0], law, 0.01, 300)
+    b = integrate(sys, [2.0, 0.0], lambda t, x: spec.control_value(x, ref, t), 0.01, 300)
     assert np.array_equal(a.X, b.X)
     assert np.array_equal(a.U, b.U)
     assert np.array_equal(a.Xdot, b.Xdot)
@@ -200,8 +197,6 @@ def test_excitation_signals_are_pure():
     assert u(0.3, x) == pytest.approx(
         math.sin(2 * 0.3 + 0.1) + 0.5 * math.sin(3 * 0.3 + 0.2)
     )
-    exc = default_excitation()
-    assert exc.kind == "sine_sum"
 
 
 def test_chirp_sweeps_frequency():

@@ -1,4 +1,4 @@
-"""Lie chains, relative degree and normal form."""
+"""Lie derivatives, Lie chains and the relative degree."""
 
 from __future__ import annotations
 
@@ -8,13 +8,7 @@ import pytest
 from conftest import default_excitation, make_random_expression
 from sparsefl.dictionary import LibrarySpec, build_dictionaries
 from sparsefl.dynamics import ControlAffineSystem, chain_integrator_system, integrate, vdp_system
-from sparsefl.lie import (
-    RelativeDegreeError,
-    lie_f,
-    lie_g,
-    normal_form,
-    relative_degree,
-)
+from sparsefl.lie import lie_derivative, relative_degree
 from sparsefl.regression import RegressionConfig, solve
 from sparsefl.symexpr import Expression, parse_expression
 
@@ -37,13 +31,13 @@ def identified_vdp():
 
 
 def test_lie_f_output_gives_velocity(identified_vdp):
-    lf = lie_f(identified_vdp.c, identified_vdp)
+    lf = lie_derivative(identified_vdp.c, identified_vdp.f)
     assert abs(coefficient(lf, "x2") - 1.0) <= 0.05
     assert len(lf.terms) == 1
 
 
 def test_lie_f_second_order_matches_drift(identified_vdp):
-    lf2 = lie_f(lie_f(identified_vdp.c, identified_vdp), identified_vdp)
+    lf2 = lie_derivative(lie_derivative(identified_vdp.c, identified_vdp.f), identified_vdp.f)
     assert abs(coefficient(lf2, "x1") + 1.0) <= 0.1
     assert abs(coefficient(lf2, "x2") - 2.0) <= 0.1
     assert abs(coefficient(lf2, "x1^2*x2") + 2.0) <= 0.1
@@ -51,32 +45,32 @@ def test_lie_f_second_order_matches_drift(identified_vdp):
 
 def test_lie_f_exact_vdp():
     sys = vdp_system(1, 1, 1)
-    assert lie_f(sys.c, sys) == Expression.variable(1, 2)
-    assert lie_f(lie_f(sys.c, sys), sys) == sys.f[1]
+    assert lie_derivative(sys.c, sys.f) == Expression.variable(1, 2)
+    assert lie_derivative(lie_derivative(sys.c, sys.f), sys.f) == sys.f[1]
 
 
 def test_lie_f_constant_is_zero():
     sys = vdp_system(1, 1, 1)
-    assert lie_f(Expression.constant(3.0, 2), sys).is_zero()
+    assert lie_derivative(Expression.constant(3.0, 2), sys.f).is_zero()
 
 
 def test_lie_g_values():
     sys = vdp_system(1, 1, 1)
-    assert lie_g(sys.c, sys).is_zero()  # g1 = 0 and dc/dx2 = 0
-    assert lie_g(lie_f(sys.c, sys), sys) == Expression.constant(1.0, 2)
+    assert lie_derivative(sys.c, sys.g).is_zero()  # g1 = 0 and dc/dx2 = 0
+    assert lie_derivative(lie_derivative(sys.c, sys.f), sys.g) == Expression.constant(1.0, 2)
     flipped = ControlAffineSystem(
         f=sys.f,
         g=(Expression.constant(1.0, 2), Expression.zero(2)),
         c=sys.c,
         n=2,
     )
-    assert lie_g(flipped.c, flipped) == Expression.constant(1.0, 2)
+    assert lie_derivative(flipped.c, flipped.g) == Expression.constant(1.0, 2)
 
 
 def test_lie_dimension_mismatch():
     sys = vdp_system(1, 1, 1)
     with pytest.raises(ValueError, match="dimension"):
-        lie_f(Expression.variable(0, 3), sys)
+        lie_derivative(Expression.variable(0, 3), sys.f)
 
 
 # -- relative degree ----------------------------------------------------------------------
@@ -123,37 +117,11 @@ def test_relative_degree_perturbed_model_tolerance():
 # -- normal form ---------------------------------------------------------------------------
 
 
-def test_normal_form_vdp(identified_vdp):
-    chain = relative_degree(identified_vdp)
-    coords = normal_form(identified_vdp, chain)
-    assert str(coords[0]) == "x1"
-    assert abs(coefficient(coords[1], "x2") - 1.0) <= 0.05
-
-
 def test_normal_form_triple_integrator():
-    sys = chain_integrator_system(3)
-    chain = relative_degree(sys)
-    coords = normal_form(sys, chain)
-    assert [str(e) for e in coords] == ["x1", "x2", "x3"]
-
-
-def test_normal_form_rejects_internal_dynamics():
-    # relative degree 1 < n = 2: input enters the observed state directly
-    sys = vdp_system(1, 1, 1)
-    direct = ControlAffineSystem(
-        f=sys.f, g=(Expression.constant(1.0, 2), Expression.zero(2)), c=sys.c, n=2
-    )
-    chain = relative_degree(direct)
-    assert chain.relative_degree == 1
-    with pytest.raises(RelativeDegreeError, match="internal dynamics"):
-        normal_form(direct, chain)
-
-
-def test_normal_form_undefined_degree():
-    sys = vdp_system(1, 1, 1)
-    blind = ControlAffineSystem(f=sys.f, g=sys.g, c=Expression.constant(1.0, 2), n=2)
-    with pytest.raises(RelativeDegreeError, match="undefined"):
-        normal_form(blind, relative_degree(blind))
+    # at full relative degree the first n chain entries are the normal-form coordinates
+    chain = relative_degree(chain_integrator_system(3))
+    assert chain.relative_degree == 3 == chain.n_states
+    assert [str(e) for e in chain.lf_powers[:3]] == ["x1", "x2", "x3"]
 
 
 # -- numerical Leibniz check --------------------------------------------------------------------
@@ -164,7 +132,7 @@ def test_lie_f_matches_directional_finite_difference():
     rng = np.random.default_rng(42)
     for _ in range(20):
         e = make_random_expression(rng, n_states=2)
-        lf = lie_f(e, sys)
+        lf = lie_derivative(e, sys.f)
         x = rng.uniform(-1.5, 1.5, size=2)
         h = 1e-6
         direction = np.array([sys.f[0].evaluate(x), sys.f[1].evaluate(x)])
