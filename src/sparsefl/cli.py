@@ -156,10 +156,17 @@ class PipelineConfig:
     @staticmethod
     def _build_excitation(section: dict) -> Callable[[float, np.ndarray], float]:
         kind = section["kind"]
+        for key in ("amplitudes", "frequencies", "phases"):
+            if not isinstance(section[key], list):
+                raise ConfigError(f"excitation.{key} must be a list, got {section[key]!r}")
         amps, freqs, phases = (
             [real(v, f"excitation.{key}") for v in section[key]]
             for key in ("amplitudes", "frequencies", "phases")
         )
+        reads_first = {"constant": ("amplitudes",), "chirp": ("amplitudes", "frequencies")}
+        for key in reads_first.get(kind, ()):
+            if not section[key]:
+                raise ConfigError(f"excitation.{key} must not be empty for a {kind} excitation")
         if kind == "zero":
             return dynamics.zero_input()
         if kind == "constant":
@@ -174,6 +181,9 @@ class PipelineConfig:
     def _build_controller(section: dict) -> tuple[tuple | None, tuple | None]:
         """``(gains, poles)`` with exactly one set; ``poles`` wins when both are."""
         gains, poles = section["gains"], section["poles"]
+        for key, value in (("gains", gains), ("poles", poles)):
+            if value is not None and not isinstance(value, list):
+                raise ConfigError(f"controller.{key} must be a list, got {value!r}")
         if poles is not None:
             gains = None
             poles = tuple(
@@ -303,8 +313,8 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> data.Dataset:
     ds = dynamics.integrate(cfg.system, x0, cfg.excitation, dt, steps)
     if np.max(np.abs(ds.U)) == 0.0 and cfg.regression.constraint_enabled:
         print(
-            "warning: zero excitation with the relative-degree constraint enabled "
-            "downstream makes the constraint vacuous",
+            "warning: zero excitation: the input channel g cannot be identified "
+            "from a zero input",
             file=sys.stderr,
         )
     data.save_csv(ds, out_dir / "dataset.csv")

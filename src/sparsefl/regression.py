@@ -4,9 +4,10 @@ The joint problem couples the state regressions ``Xdot = [ThetaF ThetaG] W``
 with the output regression ``Y = Phi zeta`` and enforces that the
 reconstructed model has the requested relative degree r: the mixed Lie
 derivatives Lg Lf^k c (k = 0..r-2) of the reconstructed (c, f, g) must
-vanish at every sample. One chain constraint, :class:`GeneralConstraint`,
-builds these rows for every r >= 2, one per sample and level. At r = 2 it
-is the bilinear condition (dc/dx_k)(x_i) * g_k(x_i) u_i = 0.
+vanish term by term, which is the zero test of :func:`lie.relative_degree`.
+One chain constraint, :class:`GeneralConstraint`, builds these rows for
+every r >= 2, one per level and term, independent of the samples. At r = 2
+it asks every term coefficient of sum_k (dc/dx_k) * g_k to vanish.
 
 Sparsity is produced by sequential thresholded least squares: alternate an
 exact least-squares solve with hard-thresholding of coefficients below the
@@ -17,12 +18,11 @@ blocks, so fixing all blocks but one keeps each step a convex problem; the
 solver alternates between the input-channel (state) step and the output
 step.
 
-The state step jointly solves only the coupled states: those whose
-input-channel columns in the current constraint rows are not all zero.
-Every other state keeps its unconstrained initialization, which is what
-the block-diagonal joint solve would give it. At r = 2 with c = c(x_k)
-only state k is coupled; when no state is (a constant output, c = 1) the
-state step is skipped.
+The state step jointly solves only the coupled states: the states j with
+some d_j(Lf^k c) not zero. Every other state keeps its unconstrained
+initialization, which is what the block-diagonal joint solve would give it.
+At r = 2 with c = c(x_k) only state k is coupled; when no state is (a
+constant output, c = 1) the state step is skipped.
 """
 
 from __future__ import annotations
@@ -30,15 +30,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
-from functools import reduce
 
 import numpy as np
 
 from .data import Dataset
 from .dictionary import DictionarySet, check_fields, integer
 from .dynamics import ControlAffineSystem
-from .lie import lie_derivative
-from .symexpr import Expression, evaluate_columns, format_expression, format_terms, parse_expression
+from .lie import DEFAULT_ZERO_TOL, lie_derivative
+from .symexpr import Expression, format_expression, format_terms, parse_expression
 
 __all__ = [
     "RegressionConfig",
@@ -76,7 +75,6 @@ class RegressionConfig:
     lam: float = 0.05
     max_outer_iters: int = 25
     max_alt_iters: int = 30
-    constraint_tol: float = 1e-6
     coef_tol: float = 1e-10
     constraint_mode: str = "per_sample"  # per_sample | none
     relative_degree: int = 2
@@ -85,8 +83,8 @@ class RegressionConfig:
         check_fields(self)  # NaN passes every ordered comparison below
         if self.lam < 0:
             raise ValueError("lam must be non-negative")
-        if self.constraint_tol <= 0 or self.coef_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.coef_tol <= 0:
+            raise ValueError("coef_tol must be positive")
         for name in ("max_outer_iters", "max_alt_iters", "relative_degree"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -104,7 +102,7 @@ class Diagnostics:
 
     state_residuals: tuple[float, ...] = ()
     output_residual: float = 0.0
-    constraint_residual: float | None = None
+    constraint_residual: float | None = None  # max |coefficient| of any Lg Lf^k c, k < r-1
     active_counts: dict = field(default_factory=dict)
     alt_iterations: int = 0
     stls_iterations: int = 0
@@ -159,7 +157,7 @@ def _null_space(C: np.ndarray) -> np.ndarray:
     if C.size == 0:
         return np.eye(C.shape[1])
     # C = QR with R at most p x p: C and R share the null space and the
-    # singular values, so the SVD never sees the m sample rows. The rank
+    # singular values, so the SVD never sees more than p rows. The rank
     # tolerance keeps the shape of C.
     r = np.linalg.qr(C, mode="r")
     s, vt = np.linalg.svd(r, full_matrices=True)[1:]
@@ -236,11 +234,6 @@ def _stls(
 # -- relative-degree chain constraint ---------------------------------------------
 
 
-def _sum_terms(terms: list[np.ndarray], shape) -> np.ndarray:
-    """Left-to-right sum of ``terms``; a lone term is not added to zero."""
-    return reduce(np.add, terms) if terms else np.zeros(shape)
-
-
 def _combine(coeffs: np.ndarray, entries, n_states: int) -> Expression:
     """sum_b coeffs[b] * entries[b] over the nonzero coefficients, in entry order."""
     total = Expression.zero(n_states)
@@ -250,126 +243,92 @@ def _combine(coeffs: np.ndarray, entries, n_states: int) -> Expression:
     return total
 
 
-class GeneralConstraint:
-    """Relative-degree chain constraints Lg Lf^k c = 0, k = 0..r-2, on data.
-
-    Level k at sample i reads sum_j d_j(Lf^k c)(x_i) * (Tg @ xi_hat)[i, j],
-    where column j of ``Tg @ xi_hat`` is g_j(x_i) u_i. Lf is linear, so
-    d_j(Lf^k c) = sum_a zeta_a d_j(Lf^k phi_a): the gradients of the
-    output-library entries' chains depend on xi_tilde alone, and the rows
-    are linear in the block each alternation step solves for: the
-    input-channel coefficients with (zeta, xi_tilde) frozen, the output
-    coefficients with (xi_tilde, xi_hat) frozen.
-
-    There is one row per sample and level. The level-0 gradients do not
-    depend on the coefficients and are evaluated here; the drift fields
-    enter only for r > 2, and the higher levels are re-evaluated only when
-    xi_tilde changes.
-    """
-
-    def __init__(self, ds: DictionarySet, d: Dataset, r: int):
-        n = d.n
-        if r < 2:
-            raise ValueError("the chain constraint needs relative_degree >= 2")
-        if r > n:
-            raise ValueError(f"relative_degree {r} exceeds the state dimension {n}")
-        self.ds = ds
-        self.d = d
-        self.r = r
-        self.n = n
-        self.tg = np.asarray(ds.theta_g)
-        self._has_input = self.tg.any(axis=1)
-        # per chain level k: {state j: d_j(Lf^k phi_a) at every sample, m x p_y}
-        self._levels = self._partials([list(ds.phi_entries)])
-        self._levels_key = None
-
-    def _partials(self, rows: list[list[Expression]]) -> list[dict[int, np.ndarray]]:
-        """Per list of expressions, {state j: m x len(list) values of d_j e}.
-
-        Only the states some expression of the list depends on appear. One
-        evaluation pass serves every list, so they share atom columns.
-        """
-        keys, parts = [], []
-        for k, row in enumerate(rows):
-            for j in range(self.n):
-                dj = [e.partial(j) for e in row]
-                if not all(p.is_zero() for p in dj):
-                    keys.append((k, j, len(parts), len(dj)))
-                    parts.extend(dj)
-        values = evaluate_columns(parts, self.d.X)
-        out: list[dict[int, np.ndarray]] = [{} for _ in rows]
-        for k, j, start, width in keys:
-            out[k][j] = values[:, start : start + width]
-        return out
-
-    def _entry_levels(self, xi_tilde: np.ndarray) -> list[dict[int, np.ndarray]]:
-        """The per-level gradient blocks of the output library along f(xi_tilde)."""
-        if self.r > 2 and xi_tilde.tobytes() != self._levels_key:
-            f = [_combine(xi_tilde[:, j], self.ds.theta_f_entries, self.n) for j in range(self.n)]
-            chain = [list(self.ds.phi_entries)]
-            for _ in range(self.r - 2):
-                chain.append([lie_derivative(e, f) for e in chain[-1]])
-            self._levels = self._levels[:1] + self._partials(chain[1:])
-            self._levels_key = xi_tilde.tobytes()
-        return self._levels
-
-    def state_rows(self, zeta: np.ndarray, xi_tilde: np.ndarray) -> tuple[list[int], np.ndarray]:
-        """Constraint rows over the coupled states' [xi_tilde_j; xi_hat_j] blocks.
-
-        A state is coupled when its input-channel columns are not all zero.
-        Returns the coupled states in order and the rows, one block of
-        p_x + p_u columns per coupled state, drift columns zero, and
-        (r-1)*m rows.
-        """
-        levels = self._entry_levels(xi_tilde)
-        m, p_x, p_u = self.d.m, self.ds.p_x, self.ds.p_u
-        # per level and state: the sample weights d_j(Lf^k c)(x_i)
-        parts = [{j: G @ zeta for j, G in level.items()} for level in levels]
-        coupled = [
-            j for j in range(self.n)
-            if any(j in part and part[j][self._has_input].any() for part in parts)
-        ]
-        block = p_x + p_u
-        C = np.zeros((len(parts) * m, len(coupled) * block))
-        for s, j in enumerate(coupled):
-            for k, part in enumerate(parts):
-                if j in part:
-                    rows = C[k * m : (k + 1) * m, s * block + p_x : (s + 1) * block]
-                    np.multiply(part[j][:, None], self.tg, out=rows)
-        return coupled, C
-
-    def zeta_rows(self, xi_tilde: np.ndarray, xi_hat: np.ndarray) -> np.ndarray:
-        """Constraint rows over the output coefficients: (r-1)*m x p_y."""
-        levels = self._entry_levels(xi_tilde)
-        g = {j: self.tg @ xi_hat[:, j] for j in range(self.n)}
-        return np.vstack([
-            _sum_terms([g[j][:, None] * G for j, G in level.items()], (self.d.m, self.ds.p_y))
-            for level in levels
-        ])
-
-    def residuals(self, zeta: np.ndarray, xi_tilde: np.ndarray, xi_hat: np.ndarray) -> np.ndarray:
-        """Residual of every chain level at every sample: (r-1) x m."""
-        levels = self._entry_levels(xi_tilde)
-        g = {j: self.tg @ xi_hat[:, j] for j in range(self.n)}
-        return np.array([
-            _sum_terms([(G @ zeta) * g[j] for j, G in level.items()], self.d.m)
-            for level in levels
-        ])
-
-
-# -- main solver ----------------------------------------------------------------
+def _field(ds: DictionarySet, xi: np.ndarray) -> tuple[Expression, ...]:
+    """The vector field whose component l combines the drift entries with ``xi[:, l]``."""
+    return tuple(_combine(xi[:, l], ds.theta_f_entries, ds.n_states) for l in range(xi.shape[1]))
 
 
 def _reconstruct(
     ds: DictionarySet, xi_tilde: np.ndarray, xi_hat: np.ndarray, zeta: np.ndarray
 ) -> tuple[tuple[Expression, ...], tuple[Expression, ...], Expression]:
     # input column k is drift entry k times u, so g combines the drift entries
-    n = ds.n_states
-    f, g = (
-        tuple(_combine(xi[:, l], ds.theta_f_entries, n) for l in range(xi.shape[1]))
-        for xi in (xi_tilde, xi_hat)
-    )
-    return f, g, _combine(zeta, ds.phi_entries, n)
+    return _field(ds, xi_tilde), _field(ds, xi_hat), _combine(zeta, ds.phi_entries, ds.n_states)
+
+
+def _coefficient_rows(exprs: list[Expression]) -> np.ndarray:
+    """The term coefficients of ``exprs``: one column per expression.
+
+    There is one row per distinct term signature, in the canonical term
+    order, so ``rows @ w`` holds the coefficients of sum_b w_b * exprs[b].
+    """
+    terms = {t.signature: t for e in exprs for t in e.terms}
+    row = {sig: i for i, sig in enumerate(sorted(terms, key=lambda sig: terms[sig].sort_key))}
+    C = np.zeros((len(row), len(exprs)))
+    for col, e in enumerate(exprs):
+        for t in e.terms:
+            C[row[t.signature], col] = t.coefficient
+    return C
+
+
+class GeneralConstraint:
+    """Relative-degree chain constraints Lg Lf^k c = 0, k = 0..r-2, on coefficients.
+
+    Lg Lf^k c = sum_j d_j(Lf^k c) * g_j is linear in each block an
+    alternation step solves for: with g_j = sum_b xi_hat[b, j] theta_b, in
+    the input-channel coefficients for frozen (zeta, xi_tilde); with
+    c = sum_a zeta_a phi_a and Lf linear, in the output coefficients for
+    frozen (xi_tilde, xi_hat). Each row asks one term coefficient of one
+    level to vanish, which is the zero that :func:`lie.relative_degree`
+    tests, so the rows do not depend on the samples.
+    """
+
+    def __init__(self, ds: DictionarySet, r: int):
+        n = ds.n_states
+        if r < 2:
+            raise ValueError("the chain constraint needs relative_degree >= 2")
+        if r > n:
+            raise ValueError(f"relative_degree {r} exceeds the state dimension {n}")
+        self.ds, self.r = ds, r
+
+    def _levels(self, exprs, xi_tilde: np.ndarray) -> list[list[Expression]]:
+        """Lf^k of each expression, k = 0..r-2, along the drift of ``xi_tilde``."""
+        f = _field(self.ds, xi_tilde)
+        levels = [list(exprs)]
+        for _ in range(self.r - 2):
+            levels.append([lie_derivative(e, f) for e in levels[-1]])
+        return levels
+
+    def state_rows(self, zeta: np.ndarray, xi_tilde: np.ndarray) -> tuple[list[int], np.ndarray]:
+        """Constraint rows over the coupled states' [xi_tilde_j; xi_hat_j] blocks.
+
+        A state j is coupled when some d_j(Lf^k c) is not zero. Returns the
+        coupled states in order and the rows, one block of p_x + p_u columns
+        per coupled state with the drift columns zero; column (j, b) of level
+        k holds the coefficients of d_j(Lf^k c) * theta_b.
+        """
+        ds, n = self.ds, self.ds.n_states
+        c = _combine(zeta, ds.phi_entries, n)
+        grads = [[e.partial(j) for j in range(n)] for [e] in self._levels([c], xi_tilde)]
+        coupled = [j for j in range(n) if any(not grad[j].is_zero() for grad in grads)]
+        drift, theta = [Expression.zero(n)] * ds.p_x, ds.theta_f_entries
+        return coupled, np.vstack([
+            _coefficient_rows([e for j in coupled for e in drift + [grad[j] * t for t in theta]])
+            for grad in grads
+        ])
+
+    def zeta_rows(self, xi_tilde: np.ndarray, xi_hat: np.ndarray) -> np.ndarray:
+        """Constraint rows over the output coefficients: column a of level k is Lg Lf^k phi_a."""
+        g, levels = _field(self.ds, xi_hat), self._levels(self.ds.phi_entries, xi_tilde)
+        return np.vstack([_coefficient_rows([lie_derivative(e, g) for e in lv]) for lv in levels])
+
+    def residual(self, zeta: np.ndarray, xi_tilde: np.ndarray, xi_hat: np.ndarray) -> float:
+        """The largest coefficient magnitude of any Lg Lf^k c, k = 0..r-2."""
+        c, g = _combine(zeta, self.ds.phi_entries, self.ds.n_states), _field(self.ds, xi_hat)
+        levels = self._levels([c], xi_tilde)
+        return max(lie_derivative(e, g).max_abs_coefficient() for [e] in levels)
+
+
+# -- main solver ----------------------------------------------------------------
 
 
 def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
@@ -384,7 +343,8 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     is exactly 1 (the constraint only pins the zeta/xi_hat product up to a
     common factor). The :class:`Diagnostics` record is built once, after
     the solve. A run that did not converge, an all-zero output, or a
-    constraint residual above ``constraint_tol`` at some sample raises
+    constraint residual above ``lie.DEFAULT_ZERO_TOL`` (a model that
+    :func:`lie.relative_degree` certifies at a lower r) raises
     :class:`RegressionError` carrying that full record.
     """
     if d.Xdot is None:
@@ -392,7 +352,7 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     gc = None
     if cfg.constraint_enabled:
         try:  # before any STLS: a relative degree above n fails fast
-            gc = GeneralConstraint(ds, d, cfg.relative_degree)
+            gc = GeneralConstraint(ds, cfg.relative_degree)
         except ValueError as exc:
             raise RegressionError(str(exc)) from None
     n, p_x = d.n, ds.p_x
@@ -443,7 +403,7 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     if gc is not None:
         if np.max(np.abs(d.U)) == 0.0:
             warnings.warn(
-                "input is identically zero; the relative-degree constraint is vacuous",
+                "input is identically zero; the input channel g cannot be identified",
                 stacklevel=2,
             )
         for alt_iters in range(1, cfg.max_alt_iters + 1):
@@ -490,9 +450,7 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
             float(np.linalg.norm(theta @ W[:, l] - d.Xdot[:, l])) for l in range(n)
         ),
         output_residual=float(np.linalg.norm(ds.phi @ zeta - d.Y)),
-        constraint_residual=None if gc is None else float(
-            np.max(np.abs(gc.residuals(zeta, xi_tilde, xi_hat)), initial=0.0)
-        ),
+        constraint_residual=None if gc is None else gc.residual(zeta, xi_tilde, xi_hat),
         active_counts={
             "xi_tilde": np.count_nonzero(xi_tilde, axis=0).tolist(),
             "xi_hat": np.count_nonzero(xi_hat, axis=0).tolist(),
@@ -510,10 +468,10 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
         )
     if pivot == 0.0:
         raise InfeasibleSparsityError("output coefficients are all zero; lower lambda", diagnostics)
-    if gc is not None and diagnostics.constraint_residual > cfg.constraint_tol:
+    if gc is not None and diagnostics.constraint_residual > DEFAULT_ZERO_TOL:
         raise RegressionError(
             f"constraint residual {diagnostics.constraint_residual:.3g} exceeds tolerance "
-            f"{cfg.constraint_tol:.3g}",
+            f"{DEFAULT_ZERO_TOL:.3g}",
             diagnostics,
         )
 

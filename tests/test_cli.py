@@ -73,9 +73,9 @@ def test_simulate_zero_excitation_warns_when_constraint_on(tmp_path, capsys):
     for excitation in ({"kind": "zero"}, {"kind": "sine_sum", "amplitudes": [0, 0, 0]}):
         cfg = write_config(tmp_path, {"excitation": excitation})
         assert run(["simulate", "--config", cfg, "--out", tmp_path]) == EXIT_OK
-        assert "vacuous" in capsys.readouterr().err
+        assert "cannot be identified" in capsys.readouterr().err
     assert run(["simulate", "--out", tmp_path]) == EXIT_OK
-    assert "vacuous" not in capsys.readouterr().err
+    assert "cannot be identified" not in capsys.readouterr().err
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -120,7 +120,7 @@ NAN = float("nan")
     [
         (["pipeline"], {"stabilization": {"reference": {"kind": "bogus"}}}, "kind"),
         (["pipeline"], {"controller": {"gains": None, "poles": [[1]]}}, "poles"),
-        (["pipeline"], {"controller": {"gains": 5}}, None),
+        (["pipeline"], {"controller": {"gains": 5}}, "controller.gains"),
         (["pipeline"], {"tracking": {"dt": NAN}}, "dt"),
         (["simulate"], {"simulation": {"dt": NAN}}, "dt"),
         (["pipeline"], {"excitation": {"amplitudes": [NAN, 1.0, 1.0]}}, "amplitudes"),
@@ -150,8 +150,10 @@ NAN = float("nan")
         (["pipeline"], {"excitation": {"amplitudes": ["1", "1", "1"]}}, "amplitudes"),
         (["pipeline"], {"controller": {"gains": [True, 4.0]}}, "gains"),
         (["pipeline"], {"controller": {"gains": None, "poles": [["-1", 0], -2]}}, "poles"),
-        (["simulate"], {"excitation": {"kind": "constant", "amplitudes": []}}, None),
+        (["simulate"], {"excitation": {"kind": "constant", "amplitudes": []}}, "excitation.amplitudes"),
         (["simulate"], {"simulation": {"dt": 10**400}}, "dt"),
+        (["simulate"], {"excitation": {"kind": "chirp", "frequencies": []}}, "excitation.frequencies"),
+        (["simulate"], {"excitation": {"amplitudes": 5}}, "excitation.amplitudes"),
     ],
     ids=[
         "reference-kind", "pole-pair", "gains-not-list", "tracking-dt-nan",
@@ -161,7 +163,7 @@ NAN = float("nan")
         "trig-orders-repeated", "steps-float", "scenario-steps-float", "seed-float",
         "dt-string", "x0-strings", "x0-bool", "system-param-string", "amplitude-string",
         "excitation-strings", "gain-bool", "pole-string", "constant-amplitude-missing",
-        "dt-overflow",
+        "dt-overflow", "chirp-frequency-missing", "amplitudes-not-list",
     ],
 )
 def test_config_errors_exit_before_any_stage_writes(tmp_path, capsys, command, raw, named):
@@ -258,7 +260,7 @@ def test_identify_estimates_missing_derivatives(tmp_path, dataset_path):
         ({"penalty_weight": 1e8}, "penalty_weight"),
         ({"constraint_mode": "aggregated"}, "aggregated"),
         ({"lambda": float("nan")}, "lam"),
-        ({"constraint_tol": float("nan")}, "constraint_tol"),
+        ({"constraint_tol": float("nan")}, "constraint_tol"),  # removed: solve uses lie's tolerance
         ({"max_outer_iters": 0}, "max_outer_iters"),
     ],
     ids=[

@@ -9,11 +9,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import default_excitation, make_random_expression
+from conftest import default_excitation
 from sparsefl.data import Dataset
 from sparsefl.dictionary import LibrarySpec, build_dictionaries
-from sparsefl.dynamics import chain_integrator_system, integrate, vdp_system
-from sparsefl.lie import relative_degree
+from sparsefl.dynamics import ControlAffineSystem, chain_integrator_system, integrate, vdp_system
+from sparsefl.lie import DEFAULT_ZERO_TOL, relative_degree
 from sparsefl.regression import (
     GeneralConstraint,
     InfeasibleSparsityError,
@@ -27,7 +27,7 @@ from sparsefl.regression import (
     system_from_dict,
     threshold_pass,
 )
-from sparsefl.symexpr import Expression
+from sparsefl.symexpr import Expression, evaluate_columns
 
 
 def random_dataset(m=20, n=2, seed=0, with_xdot=True):
@@ -69,46 +69,51 @@ def true_vdp_coefficients(ds):
     return xi_tilde, xi_hat, zeta
 
 
-def test_stacked_dimensions(vdp_dicts, vdp_data):
+def test_stacked_dimensions(vdp_dicts):
     # the state step's constraint has one [xi_tilde_j; xi_hat_j] block of
     # p_x + p_u = 20 columns per coupled state; y = x1 at r = 2 couples
-    # state 1 alone, with one row per sample
+    # state 1 alone, with one row per term of dc/dx1 * theta_b: ten rows
     xi_tilde, _, zeta = true_vdp_coefficients(vdp_dicts)
-    states, C = GeneralConstraint(vdp_dicts, vdp_data, 2).state_rows(zeta, xi_tilde)
+    states, C = GeneralConstraint(vdp_dicts, 2).state_rows(zeta, xi_tilde)
     assert states == [0]
-    assert C.shape == (100, 20)
+    assert C.shape == (10, 20)
     # at r = 3 a dense random drift carries Lf c to every state: two levels
-    # of m rows over all three blocks
+    # of term rows over all three blocks, the drift columns zero
     d = random_dataset(m=30, n=3, seed=5)
     ds = build_dictionaries(LibrarySpec(poly_order=2), d)
     rng = np.random.default_rng(8)
     xi_tilde = rng.uniform(-1, 1, size=(ds.p_x, 3))
     zeta = rng.uniform(-1, 1, size=ds.p_y)
-    states, C = GeneralConstraint(ds, d, 3).state_rows(zeta, xi_tilde)
+    states, C = GeneralConstraint(ds, 3).state_rows(zeta, xi_tilde)
     assert states == [0, 1, 2]
-    assert C.shape == (2 * d.m, 3 * (ds.p_x + ds.p_u))
+    block = ds.p_x + ds.p_u
+    assert C.shape[1] == 3 * block
+    for s in range(3):
+        assert np.all(C[:, s * block : s * block + ds.p_x] == 0.0)
+        assert np.any(C[:, s * block + ds.p_x : (s + 1) * block] != 0.0)
 
 
 def test_stacked_off_diagonal_blocks_are_zero():
     # chain3 at r = 3 couples states 1 and 2: each block's drift columns are
-    # zero, and its input columns at level k and sample i are
-    # d_j(Lf^k c)(x_i) times the input library at sample i
+    # zero, and its input column b at level k holds the coefficients of
+    # d_j(Lf^k c) * theta_b
     sys, d = chain3_data()
     ds = build_dictionaries(LibrarySpec(poly_order=2, output_poly_order=3), d)
     xi_tilde, _, zeta = true_chain3_coefficients(ds)
-    states, C = GeneralConstraint(ds, d, 3).state_rows(zeta, xi_tilde)
+    states, C = GeneralConstraint(ds, 3).state_rows(zeta, xi_tilde)
     assert states == [0, 1]
-    m, p_x, p_u = d.m, ds.p_x, ds.p_u
+    p_x, p_u = ds.p_x, ds.p_u
     block = p_x + p_u
-    assert C.shape == (2 * m, 2 * block)
+    assert C.shape == (2 * p_u, 2 * block)
     assert np.all(C[:, :p_x] == 0.0)
     assert np.all(C[:, block : block + p_x] == 0.0)
-    # c = x1 and Lf c = x2: level 0 is state 1's input library, level 1 state 2's
-    tg = np.asarray(ds.theta_g)
-    assert np.array_equal(C[:m, p_x:block], tg)
-    assert np.all(C[:m, block + p_x :] == 0.0)
-    assert np.all(C[m:, p_x:block] == 0.0)
-    assert np.array_equal(C[m:, block + p_x :], tg)
+    # c = x1 and Lf c = x2: level 0 is the identity on state 1's input
+    # block, level 1 on state 2's (the polynomial entries are in term order)
+    eye = np.eye(p_u)
+    assert np.array_equal(C[:p_u, p_x:block], eye)
+    assert np.all(C[:p_u, block + p_x :] == 0.0)
+    assert np.all(C[p_u:, p_x:block] == 0.0)
+    assert np.array_equal(C[p_u:, block + p_x :], eye)
 
 
 def test_true_coefficients_reproduce_targets(vdp_dicts, vdp_data):
@@ -123,11 +128,11 @@ def test_true_coefficients_reproduce_targets(vdp_dicts, vdp_data):
 
 @pytest.mark.filterwarnings("ignore:only .* samples")
 def test_constraint_single_sample_outer_product():
-    # sample x = (2, 0), u = 3 with output library [1, x1]: the gradient row
-    # is [0, 1] and the input library [u, x1*u, x2*u] evaluates to [3, 6, 0],
-    # so the sample's outer product is [[0, 0, 0], [3, 6, 0]]. Its first
-    # column is the output row for g1 = 1, its second row the input row of
-    # state 1 for c = x1; c = 1 couples no state.
+    # hand-written rows, independent of the one sample x = (2, 0), u = 3:
+    # over the library [1, x1, x2] with output library [1, x1], c = x1 has
+    # dc/dx1 = 1, so state 1's input rows are the identity (one row per
+    # term 1, x1, x2); g1 = 1 makes Lg phi = [0, 1], one constant term;
+    # c = 1 couples no state.
     d = Dataset(
         np.array([0.0, 0.01]),
         np.array([[2.0, 0.0], [2.0, 0.0]]),
@@ -136,26 +141,30 @@ def test_constraint_single_sample_outer_product():
         Xdot=np.zeros((2, 2)),
     )
     ds = build_dictionaries(LibrarySpec(poly_order=1, output_poly_order=1), d)
-    gc = GeneralConstraint(ds, d, 2)
+    gc = GeneralConstraint(ds, 2)
     xi_tilde = np.zeros((ds.p_x, 2))
     xi_hat = np.zeros((ds.p_u, 2))
     xi_hat[ds.labels_g().index("u"), 0] = 1.0
-    assert gc.zeta_rows(xi_tilde, xi_hat)[0].tolist() == [0.0, 3.0]
+    assert gc.zeta_rows(xi_tilde, xi_hat).tolist() == [[0.0, 1.0]]
     states, C = gc.state_rows(np.array([0.0, 1.0]), xi_tilde)
     assert states == [0]
-    assert C[0].tolist() == [0.0, 0.0, 0.0, 3.0, 6.0, 0.0]
+    assert C.tolist() == [
+        [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+    ]
     states, C = gc.state_rows(np.array([1.0, 0.0]), xi_tilde)
     assert states == []
-    assert C.shape == (2, 0)
+    assert C.shape == (0, 0)
 
 
 def test_constraint_zero_input_warns():
-    # a zero input makes every input-library column zero: solve warns, and no
-    # state is coupled, so the constraint holds exactly
+    # a zero input makes every input-library column zero: solve warns that g
+    # cannot be identified, leaves it zero, and the constraint holds exactly
     d = random_dataset(m=20, seed=1)
     d = Dataset(d.times, d.X, np.zeros(d.m), d.Y, Xdot=d.Xdot)
     ds = build_dictionaries(LibrarySpec(poly_order=2), d)
-    with pytest.warns(UserWarning, match="vacuous"):
+    with pytest.warns(UserWarning, match="input channel g cannot be identified"):
         model = solve(ds, d, RegressionConfig())
     assert model.diagnostics.constraint_residual == 0.0
     assert np.all(model.xi_hat == 0.0)
@@ -196,8 +205,6 @@ def test_threshold_rejects_bad_lambda(lam):
     [
         ("lam", math.nan),
         ("lam", math.inf),
-        ("constraint_tol", math.nan),
-        ("constraint_tol", math.inf),
         ("coef_tol", math.nan),
         ("coef_tol", -math.inf),
         ("max_outer_iters", 0),
@@ -264,9 +271,9 @@ def test_constrained_solve_matches_kkt_oracle():
 
 
 def test_null_space_of_tall_rank_deficient_constraint():
-    # the r = 2 per-sample shape: zero drift columns, then one input-library
-    # row scaled by a per-sample weight; one input column is a combination
-    # of two others, so the input block is rank-deficient
+    # a tall constraint: zero drift columns, then input-library rows scaled
+    # by a per-row weight; one input column is a combination of two
+    # others, so the input block is rank-deficient
     import tracemalloc
 
     from sparsefl.regression import _null_space
@@ -493,61 +500,46 @@ def test_support_recovery_on_random_systems(seed):
 # -- generalized chain constraint -------------------------------------------------------------
 
 
-def test_general_constraint_matches_bilinear_factors(vdp_dicts, vdp_data):
-    # r = 2 with dense random coefficients: the residual at sample i is
-    # (dc/dx1)(x_i) * g1(x_i) * u_i, the state-1 input row is
-    # (dc/dx1)(x_i) times the input library, and the output row is
-    # d(phi_a)/dx1 (x_i) * g1(x_i) * u_i, all from per-sample evaluation
+def coefficient_matrix(exprs):
+    """Term coefficients by hand: a row per signature in canonical term order, a column per expression."""
+    terms = {t.signature: t for e in exprs for t in e.terms}
+    rows = sorted(terms, key=lambda sig: terms[sig].sort_key)
+    return np.array(
+        [[{t.signature: t.coefficient for t in e.terms}.get(sig, 0.0) for e in exprs] for sig in rows]
+    )
+
+
+def test_general_constraint_matches_bilinear_factors(vdp_dicts):
+    # r = 2 with dense random coefficients: the state-1 input rows are the
+    # coefficients of (dc/dx1) * theta_b, the output rows those of Lg phi_a =
+    # d(phi_a)/dx1 * g1, and the residual is the largest coefficient of
+    # (dc/dx1) * g1
     rng = np.random.default_rng(4)
-    ds, d = vdp_dicts, vdp_data
+    ds = vdp_dicts
     xi_tilde = rng.uniform(-1, 1, size=(ds.p_x, 2))
     xi_hat = rng.uniform(-1, 1, size=(ds.p_u, 2))
     zeta = rng.uniform(-1, 1, size=ds.p_y)
     c = sum((float(z) * e for z, e in zip(zeta, ds.phi_entries)), Expression.zero(2))
     g1 = sum((float(w) * e for w, e in zip(xi_hat[:, 0], ds.theta_f_entries)), Expression.zero(2))
     dc = c.partial(0)
-    weights = np.array([dc.evaluate(x) for x in d.X])
-    g1u = np.array([g1.evaluate(x) * u for x, u in zip(d.X, d.U)])
-    gc = GeneralConstraint(ds, d, 2)
-    res = gc.residuals(zeta, xi_tilde, xi_hat)
-    assert res.shape == (1, d.m)
-    assert np.allclose(res[0], weights * g1u, rtol=1e-12, atol=1e-12)
+    gc = GeneralConstraint(ds, 2)
+    assert gc.residual(zeta, xi_tilde, xi_hat) == (dc * g1).max_abs_coefficient()
     states, C = gc.state_rows(zeta, xi_tilde)
     assert states == [0]
-    tg = np.array([[e.evaluate(x) * u for e in ds.theta_f_entries] for x, u in zip(d.X, d.U)])
-    assert np.allclose(C[:, : ds.p_x], 0.0)
-    assert np.allclose(C[:, ds.p_x :], weights[:, None] * tg, rtol=1e-12, atol=1e-12)
-    dphi = np.array([[e.partial(0).evaluate(x) for e in ds.phi_entries] for x in d.X])
+    assert np.all(C[:, : ds.p_x] == 0.0)
+    assert np.array_equal(C[:, ds.p_x :], coefficient_matrix([dc * e for e in ds.theta_f_entries]))
     D = gc.zeta_rows(xi_tilde, xi_hat)
-    assert np.allclose(D, dphi * g1u[:, None], rtol=1e-12, atol=1e-12)
+    assert np.array_equal(D, coefficient_matrix([e.partial(0) * g1 for e in ds.phi_entries]))
 
 
-def test_general_constraint_true_vdp_residuals(vdp_dicts, vdp_data):
+def test_general_constraint_true_vdp_residuals(vdp_dicts):
     xi_tilde, xi_hat, zeta = true_vdp_coefficients(vdp_dicts)
-    res = GeneralConstraint(vdp_dicts, vdp_data, 2).residuals(zeta, xi_tilde, xi_hat)
-    assert res.shape == (1, vdp_data.m)
-    assert np.max(np.abs(res)) <= 1e-10
+    assert GeneralConstraint(vdp_dicts, 2).residual(zeta, xi_tilde, xi_hat) == 0.0
 
 
-def test_general_constraint_gradient_samples_match_per_sample_loop():
-    sys, d = chain3_data()
-    ds = build_dictionaries(LibrarySpec(poly_order=2, trig_orders=(1, 2)), d)
-    gc = GeneralConstraint(ds, d, 3)
-    rng = np.random.default_rng(2)
-    for e in [make_random_expression(rng, n_states=3, max_degree=5) for _ in range(10)]:
-        grads = [e.partial(j) for j in range(3)]
-        oracle = np.array([[g.evaluate(d.X[i]) for g in grads] for i in range(d.m)])
-        got = gc._partials([[e]])[0]
-        for j in range(3):
-            if j in got:
-                assert np.array_equal(got[j][:, 0], oracle[:, j])
-            else:
-                assert grads[j].is_zero()
-
-
-def test_general_constraint_rejects_excess_degree(vdp_dicts, vdp_data):
+def test_general_constraint_rejects_excess_degree(vdp_dicts):
     with pytest.raises(ValueError, match="exceeds"):
-        GeneralConstraint(vdp_dicts, vdp_data, 3)
+        GeneralConstraint(vdp_dicts, 3)
 
 
 def chain3_data():
@@ -586,24 +578,24 @@ def test_chain_integrator_r3_identification():
 
 
 @pytest.mark.parametrize(
-    "plant, rows_per_level",
+    "plant, m",
     [
         pytest.param("chain3", 200, id="per_sample-200"),
         pytest.param("vdp", 100, id="vdp-per_sample-100"),
     ],
 )
-def test_chain_integrator_r3_constraint_rows_follow_mode(
-    monkeypatch, vdp_dicts, vdp_data, plant, rows_per_level
-):
-    # every solve of the state step and the output step enforces one row per
-    # sample and chain level
+def test_chain_integrator_r3_constraint_rows_follow_mode(monkeypatch, plant, m):
+    # the constraint has one row per chain level and term, not per sample:
+    # every solve of the state step and the output step sees the same row
+    # counts at m and at 4m samples
     import sparsefl.regression as regression
 
     if plant == "chain3":
-        r, (sys, d) = 3, chain3_data()
-        ds = build_dictionaries(LibrarySpec(poly_order=2, output_poly_order=3), d)
+        r, sys, x0, spec = 3, chain_integrator_system(3), [0.5, 0.0, 0.0], LibrarySpec(
+            poly_order=2, output_poly_order=3
+        )
     else:
-        r, d, ds = 2, vdp_data, vdp_dicts
+        r, sys, x0, spec = 2, vdp_system(1, 1, 1), [2.0, 0.0], LibrarySpec()
     rows = []
     inner = regression._constrained_solve
 
@@ -613,19 +605,69 @@ def test_chain_integrator_r3_constraint_rows_follow_mode(
         return inner(A, z, C)
 
     monkeypatch.setattr(regression, "_constrained_solve", spy)
-    solve(ds, d, RegressionConfig(relative_degree=r))
-    assert rows and set(rows) == {(r - 1) * rows_per_level}
+    counts = []
+    for samples in (m, 4 * m):
+        rows.clear()
+        d = integrate(sys, x0, default_excitation(), 0.01, samples - 1)
+        solve(build_dictionaries(spec, d), d, RegressionConfig(relative_degree=r))
+        counts.append(set(rows))
+    assert counts[0] and counts[0] == counts[1]
+    assert max(counts[0]) < m
 
 
 def test_chain_integrator_r3_hand_residuals():
     # plug the exact chain-integrator coefficients into the r=3 constraint:
-    # both chain levels must vanish identically on the data
+    # both chain levels vanish term by term
     sys, d = chain3_data()
     ds = build_dictionaries(LibrarySpec(poly_order=2, output_poly_order=3), d)
     xi_tilde, xi_hat, zeta = true_chain3_coefficients(ds)
-    res = GeneralConstraint(ds, d, 3).residuals(zeta, xi_tilde, xi_hat)
-    assert res.shape == (2, d.m)
-    assert np.max(np.abs(res)) <= 1e-10
+    assert GeneralConstraint(ds, 3).residual(zeta, xi_tilde, xi_hat) == 0.0
+
+
+def test_constraint_and_certification_share_one_zero():
+    # c = x1, f1 = sin(x2) + x3, g = (0, sin(x2), -0.5*sin(2*x2)): Lg c = 0,
+    # and Lg Lf c = cos(x2)*sin(x2) - 0.5*sin(2*x2) vanishes as a function
+    # (below 1e-15 at every sample) but not term by term. The constraint
+    # residual is its largest coefficient, which is what relative_degree
+    # compares with its tolerance: it certifies r = 2, not 3.
+    sys, d = chain3_data()
+    ds = build_dictionaries(LibrarySpec(poly_order=1, trig_orders=(1, 2)), d)
+    labels = ds.labels_f()
+    xi_tilde = np.zeros((ds.p_x, 3))
+    xi_tilde[labels.index("sin(x2)"), 0] = 1.0
+    xi_tilde[labels.index("x3"), 0] = 1.0
+    xi_tilde[labels.index("x3"), 1] = 1.0
+    xi_hat = np.zeros((ds.p_u, 3))
+    xi_hat[labels.index("sin(x2)"), 1] = 1.0
+    xi_hat[labels.index("sin(2*x2)"), 2] = -0.5
+    zeta = np.zeros(ds.p_y)
+    zeta[ds.labels_phi().index("x1")] = 1.0
+    residual = GeneralConstraint(ds, 3).residual(zeta, xi_tilde, xi_hat)
+    assert residual == 1.0
+
+    from sparsefl.regression import _reconstruct
+
+    f, g, c = _reconstruct(ds, xi_tilde, xi_hat, zeta)
+    chain = relative_degree(ControlAffineSystem(f=f, g=g, c=c, n=3))
+    assert chain.relative_degree == 2
+    assert residual == chain.lg_mixed[1].max_abs_coefficient()
+    assert np.max(np.abs(evaluate_columns([chain.lg_mixed[1]], d.X))) <= 1e-15
+
+
+@pytest.mark.parametrize("excess, accepted", [(0.0, True), (1e-12, False)], ids=["at-tol", "above-tol"])
+def test_solve_accepts_exactly_up_to_the_certifier_tolerance(monkeypatch, vdp_dicts, vdp_data, excess, accepted):
+    # solve rejects a model exactly when its residual exceeds the zero
+    # tolerance of relative_degree
+    import sparsefl.regression as regression
+
+    monkeypatch.setattr(
+        regression.GeneralConstraint, "residual", lambda *args: DEFAULT_ZERO_TOL + excess
+    )
+    if accepted:
+        solve(vdp_dicts, vdp_data, RegressionConfig())
+    else:
+        with pytest.raises(RegressionError, match="constraint residual"):
+            solve(vdp_dicts, vdp_data, RegressionConfig())
 
 
 # -- coupled states ------------------------------------------------------------------------
