@@ -32,10 +32,8 @@ def lie_derivative(e: Expression, field: Sequence[Expression]) -> Expression:
     """Directional derivative of ``e`` along the vector field ``field``."""
     if e.n_states != len(field):
         raise ValueError(f"dimension mismatch: {e.n_states} vs {len(field)} states")
-    out = Expression.zero(len(field))
-    for i, component in enumerate(field):
-        out = out + e.partial(i) * component
-    return out
+    products = [e.partial(i) * component for i, component in enumerate(field)]
+    return Expression(tuple(t for product in products for t in product.terms), len(field))
 
 
 @dataclass(frozen=True)

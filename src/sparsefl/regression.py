@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -180,6 +180,70 @@ def _constrained_solve(A: np.ndarray, z: np.ndarray, C: np.ndarray | None) -> np
     return N @ _lstsq(A @ N, z)
 
 
+def _block_columns(A: np.ndarray, scale: np.ndarray | None, active: np.ndarray) -> np.ndarray:
+    """Columns ``active`` of blockdiag(A, ..., A) / scale, one block's ``scale``.
+
+    Bits and memory order are those of the Kronecker product eye(k) x A, so
+    BLAS and LAPACK see the same input: 0.0 * A (signed zeros) off the
+    diagonal; C order if all columns are active, else a gather's Fortran order.
+    """
+    m, p = A.shape
+    k = active.size // p
+    cols = slice(None) if active.all() else active
+    if k == 1:
+        return A[:, cols] if scale is None else A[:, cols] / scale[cols]
+    out = np.empty((k * m, np.count_nonzero(active)), order="C" if active.all() else "F")
+    start = 0
+    for j, act in enumerate(active.reshape(k, p)):
+        a, span = A[:, act], slice(start, start + np.count_nonzero(act))
+        for i in range(k):
+            block = out[i * m : (i + 1) * m, span]
+            np.multiply(float(i == j), a, out=block)
+            if scale is not None:
+                np.divide(block, scale[act], out=block)
+        start = span.stop
+    return out
+
+
+@dataclass(frozen=True)
+class _Factor:
+    """QR of a column-scaled design with right-hand sides: [A/s | Z] = Q [[r, qtz], [0, T]].
+
+    ``out[j]`` = |T[:, j]|^2, the part of Z[:, j] outside range(A); ``norms[j]`` = |r[:, j]|^2.
+    No column subset, projection A_S N (N orthonormal) or block diagonal of
+    A has a singular value below smin, the least of r's.
+    """
+
+    r: np.ndarray
+    qtz: np.ndarray
+    out: np.ndarray
+    norms: np.ndarray
+    smin: float
+
+
+def _factor(A: np.ndarray, Z: np.ndarray, scale: np.ndarray | None) -> _Factor | None:
+    """The :class:`_Factor` of ``A`` against ``Z``'s columns; None when it cannot screen.
+
+    It cannot when the bound of _stls fails for A's largest column alone,
+    and so for every sweep that keeps it. R is built 512 rows at a time, as
+    the R of [R; next rows]: one QR of all m x (p + n) entries read 6.6 MB
+    more ``peak_rss_mb`` in the benchmark at m = 5000, p + n = 60.
+    """
+    (m, p), n = A.shape, Z.shape[1]
+    if m < p + n:
+        return None
+    R = np.empty((0, p + n))
+    for i in range(0, m, 512):
+        rows = np.hstack([A[i : i + 512] / (1.0 if scale is None else scale), Z[i : i + 512]])
+        R = np.linalg.qr(np.vstack([R, rows]), mode="r")
+    if not np.all(np.isfinite(R)):
+        return None
+    smin, norms = np.linalg.svd(R[:p, :p], compute_uv=False)[-1], np.sum(R[:p, :p] ** 2, axis=0)
+    if m * np.finfo(float).eps / 2 * math.sqrt(norms.max()) >= 0.5 * smin:
+        return None
+    return _Factor(R[:p, :p], R[:p, p:], np.sum(R[p:, p:] ** 2, axis=0), norms, float(smin))
+
+
 def _stls(
     A: np.ndarray,
     z: np.ndarray,
@@ -188,38 +252,66 @@ def _stls(
     constraint: np.ndarray | None = None,
     column_scale: np.ndarray | None = None,
     what: str = "coefficients",
+    factor: _Factor | None = None,
 ) -> tuple[np.ndarray, int]:
     """Sequential thresholded least squares with optional equality constraint.
 
-    Solves on the current active columns, thresholds in raw units, and
-    repeats until the active set stabilizes. ``column_scale`` (if given)
-    conditions each solve by unit-normalizing columns; coefficients are
-    always returned and thresholded in raw units. Returns the coefficients
-    and the number of sweeps.
+    Solves blockdiag(A, ..., A) w = [z_1; ...; z_k], one block per column of
+    ``z``, on the current active columns, thresholds in raw units, and
+    repeats until the active set stabilizes. ``column_scale`` (one block's,
+    if given) conditions each solve by unit-normalizing columns. Returns the
+    coefficients and the number of sweeps.
+
+    ``factor``, the :class:`_Factor` of A against ``z``'s columns, lets a
+    sweep that drops columns be decided on p rows when the bound below
+    vouches for it; every other sweep solves on the m-row design.
     """
-    p = A.shape[1]
-    active = np.ones(p, dtype=bool)
+    m, p = A.shape
+    Z = z.reshape(m, -1)
+    k = Z.shape[1]
+    rhs = Z.T.reshape(-1)
+    scale = None if column_scale is None else np.tile(column_scale, k)
+    if factor is not None:
+        qtz, out, norms = factor.qtz.T.reshape(-1), float(np.sum(factor.out)), np.tile(factor.norms, k)
+    active = np.ones(k * p, dtype=bool)
+
+    def thresholded(x, s):
+        w = np.zeros(k * p)
+        w[active] = x if s is None else x / s
+        return threshold_pass(w, lam)
+
     for sweep in range(1, max_iter + 1):
-        # basic slicing on an all-active sweep: views, no boolean-mask gather
-        cols = slice(None) if active.all() else active
-        A_act = A[:, cols]
-        scale = None
-        if column_scale is not None:
-            scale = column_scale[cols]
-            A_act = A_act / scale
-        C_act = constraint[:, cols] if constraint is not None else None
-        if C_act is not None and scale is not None:
-            C_act = C_act / scale
-        w_act = _constrained_solve(A_act, z, C_act)
-        if scale is not None:
-            w_act = w_act / scale
-        w = np.zeros(p)
-        w[cols] = w_act
-        w = threshold_pass(w, lam)
+        s = None if scale is None else scale[active]
+        C = None if constraint is None else constraint[:, active]
+        if C is not None and s is not None:
+            C = C / s
+        w = None
+        # Householder least squares is exact for a design whose column j moved
+        # by gamma = c * rows * cols * u of its norm (Higham 2002, Thms 19.4,
+        # 20.3; c = 1 is an assumption the differential tests bear out, not a
+        # certificate), so |dA|_2 <= gamma |A_S|_F for both solves. With
+        # t = gamma |A_S|_F / smin < 1/2, Thm 20.1 puts both within delta of the
+        # exact solution: |w_j| clearing lam by 2 delta / s_j thresholds alike.
+        if factor is not None:
+            gamma = k * m * np.count_nonzero(active) * np.finfo(float).eps / 2
+            t = gamma / (1 - gamma) * math.sqrt(float(np.sum(norms[active]))) / factor.smin
+            if t < 0.5:
+                Rs = _block_columns(factor.r, None, active)
+                x = _constrained_solve(Rs, qtz, C)
+                rho = math.sqrt(out + float(np.sum((Rs @ x - qtz) ** 2)))
+                delta = 2 * t / (1 - t) * (float(np.linalg.norm(x)) + rho / factor.smin)
+                w = thresholded(x, s)
+                clear = np.abs(np.abs(x) - lam * (1.0 if s is None else s)) > 2 * delta
+                if not clear.all():  # screen no later sweep: one failing p-row solve per call
+                    w, factor = None, None
+                elif not w.any() or np.array_equal(w != 0.0, active):
+                    w = None
+        if w is None:
+            w = thresholded(_constrained_solve(_block_columns(A, column_scale, active), rhs, C), s)
         kept = w != 0.0
         if not kept.any():
-            if np.max(np.abs(z), initial=0.0) <= 1e-12:
-                return np.zeros(p), sweep
+            if np.max(np.abs(rhs), initial=0.0) <= 1e-12:
+                return np.zeros(k * p), sweep
             raise InfeasibleSparsityError(
                 f"threshold {lam} removed every candidate for {what}; lower lambda"
             )
@@ -236,11 +328,8 @@ def _stls(
 
 def _combine(coeffs: np.ndarray, entries, n_states: int) -> Expression:
     """sum_b coeffs[b] * entries[b] over the nonzero coefficients, in entry order."""
-    total = Expression.zero(n_states)
-    for w, entry in zip(coeffs, entries):
-        if w != 0.0:
-            total = total + float(w) * entry
-    return total
+    products = [float(w) * entry for w, entry in zip(coeffs, entries) if w != 0.0]
+    return Expression(tuple(t for product in products for t in product.terms), n_states)
 
 
 def _field(ds: DictionarySet, xi: np.ndarray) -> tuple[Expression, ...]:
@@ -339,9 +428,8 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     unconstrained sequential thresholded least squares; when the
     relative-degree constraint is enabled the solver then alternates
     constrained steps (each linear in its block) until the coefficients stop
-    moving, and the output coefficients are rescaled so their largest entry
-    is exactly 1 (the constraint only pins the zeta/xi_hat product up to a
-    common factor). The :class:`Diagnostics` record is built once, after
+    moving, and a largest output coefficient within rounding of 1 is divided
+    out. The :class:`Diagnostics` record is built once, after
     the solve. A run that did not converge, an all-zero output, or a
     constraint residual above ``lie.DEFAULT_ZERO_TOL`` (a model that
     :func:`lie.relative_degree` certifies at a lower r) raises
@@ -369,30 +457,24 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
         return scale
 
     col_scale, phi_scale = unit_scale(theta), unit_scale(ds.phi)
+    # one QR per design serves every sweep of every state and step
+    theta_qr, phi_qr = _factor(theta, d.Xdot, col_scale), _factor(ds.phi, d.Y[:, None], phi_scale)
 
-    def stls(a, z, scale, constraint, what):
+    def stls(a, z, scale, constraint, what, factor):
         nonlocal sweeps
-        w, k = _stls(a, z, cfg.lam, cfg.max_outer_iters, constraint, scale, what)
+        w, k = _stls(a, z, cfg.lam, cfg.max_outer_iters, constraint, scale, what, factor)
         sweeps += k
         return w
 
-    joint: dict[tuple[int, ...], tuple] = {}
-
     def states_stls(W, states, constraint):
         """STLS of the given states' equations as one block-diagonal system into W[:, states]."""
-        key = tuple(states)
-        if key not in joint:
-            joint[key] = (
-                np.kron(np.eye(len(states)), theta) if len(states) > 1 else theta,
-                np.concatenate([d.Xdot[:, j] for j in states]),
-                None if col_scale is None else np.tile(col_scale, len(states)),
-            )
-        a, z, scale = joint[key]
+        factor = theta_qr and replace(theta_qr, qtz=theta_qr.qtz[:, states], out=theta_qr.out[states])
         what = "state equation " + ", ".join(f"dx{j + 1}/dt" for j in states)
-        W[:, states] = stls(a, z, scale, constraint, what).reshape(len(states), -1).T
+        w = stls(theta, d.Xdot[:, states], col_scale, constraint, what, factor)
+        W[:, states] = w.reshape(len(states), -1).T
 
     # unconstrained initialization
-    zeta = stls(ds.phi, d.Y, phi_scale, None, "the output equation")
+    zeta = stls(ds.phi, d.Y, phi_scale, None, "the output equation", phi_qr)
     W_init = np.empty((theta.shape[1], n))
     for l in range(n):
         states_stls(W_init, [l], None)
@@ -415,7 +497,7 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
             if states:
                 states_stls(W, states, C)
             C = gc.zeta_rows(W[:p_x], W[p_x:])
-            zeta = stls(ds.phi, d.Y, phi_scale, C, "the output equation")
+            zeta = stls(ds.phi, d.Y, phi_scale, C, "the output equation", phi_qr)
             if max(np.max(np.abs(W - W_prev)), np.max(np.abs(zeta - zeta_prev))) < cfg.coef_tol:
                 break
         else:
@@ -437,13 +519,11 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
                 f"largest candidate ({raw[idx]:.3g}) to preserve invertibility"
             )
 
-    # fix the output scale: the constraint couples zeta and xi_hat only up
-    # to a common factor, so pin the largest output coefficient to 1.
+    # Y fixes the output scale and the constraint is homogeneous in zeta, so
+    # a largest output coefficient within 1e-9 of 1 is 1 up to rounding.
     pivot = zeta[np.argmax(np.abs(zeta))] if gc is not None else 1.0
-    if pivot != 0.0 and pivot != 1.0:
+    if abs(pivot - 1.0) <= 1e-9:
         zeta = zeta / pivot
-        if abs(pivot - 1.0) > 1e-9:
-            notes.append(f"output coefficients rescaled by 1/{pivot:.6g}")
 
     diagnostics = Diagnostics(
         state_residuals=tuple(

@@ -126,7 +126,8 @@ def _canonical_terms(terms: Iterable[Term], n_states: int) -> tuple[Term, ...]:
                 merged[sig] = Term(c, t.monomial, t.trig_atoms)
         elif t.coefficient != 0.0:
             merged[sig] = t
-    return tuple(sorted(merged.values(), key=lambda t: t.sort_key))
+    # like terms share a sort key, so the merged terms are already in order
+    return tuple(merged.values())
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,32 @@ def test_lie_dimension_mismatch():
         lie_derivative(Expression.variable(0, 3), sys.f)
 
 
+def term_by_term(e: Expression, field) -> Expression:
+    """sum_i d_i(e) * field[i], canonicalized after every addition."""
+    out = Expression.zero(len(field))
+    for i, component in enumerate(field):
+        out = out + e.partial(i) * component
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_lie_derivative_equals_term_by_term_sum(seed):
+    # one canonicalization merges like terms in the order the running sum
+    # adds them, so every coefficient is the same float
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    e = make_random_expression(rng, n, max_terms=6)
+    field = [make_random_expression(rng, n, max_terms=6) for _ in range(n)]
+    assert lie_derivative(e, field).terms == term_by_term(e, field).terms
+
+
+def test_lie_derivative_term_cancelling_then_returning():
+    # x1*x2*x3 collects +1, -1 (the term vanishes) and then +2
+    x1, x2, x3 = (Expression.variable(i, 3) for i in range(3))
+    e, field = x1 * x2 * x3, [x1, -1.0 * x2, 2.0 * x3]
+    assert lie_derivative(e, field) == term_by_term(e, field) == 2.0 * e
+
+
 # -- relative degree ----------------------------------------------------------------------
 
 

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import default_excitation
 from sparsefl.data import Dataset
@@ -776,3 +778,193 @@ def test_model_json_round_trip(vdp_dicts, vdp_data):
     spec = LibrarySpec(poly_order=2, trig_orders=(2, 1), cross_trig=True, normalize_columns=True)
     other = dataclasses.replace(model, dictionaries=dataclasses.replace(vdp_dicts, spec=spec))
     assert LibrarySpec(**model_to_dict(other)["library"]) == spec
+
+
+# -- output scale --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("gain", [2.0, 0.5])
+def test_output_gain_is_kept_as_fitted(gain):
+    # Y fixes the scale of zeta and the constraint is homogeneous in it, so
+    # c = gain * x1 is identified as such, not pinned to x1
+    base = vdp_system(1, 1, 1)
+    sys = ControlAffineSystem(f=base.f, g=base.g, c=gain * Expression.variable(0, 2), n=2)
+    d = integrate(sys, [2.0, 0.0], default_excitation(), 0.01, 299)
+    model = solve(build_dictionaries(LibrarySpec(), d), d, RegressionConfig())
+    [term] = model.c.terms
+    assert term.monomial == (1, 0) and abs(term.coefficient - gain) <= 1e-6
+    assert model.diagnostics.output_residual <= 1e-6
+    assert model.diagnostics.notes == ()
+
+
+# -- screened sweeps ---------------------------------------------------------------
+
+
+def exact_stls(A, z, lam, max_iter, constraint=None, column_scale=None, what="coefficients", factor=None):
+    """Reference STLS that solves every sweep on the whole m-row active design.
+
+    Takes ``_stls``'s arguments and ignores ``factor``: the blocks of ``z``'s
+    columns are the Kronecker product eye(k) x A, the scale is tiled.
+    """
+    from sparsefl.regression import _constrained_solve
+
+    Z = z.reshape(len(z), -1)
+    k = Z.shape[1]
+    if k > 1:
+        A = np.kron(np.eye(k), A)
+        column_scale = None if column_scale is None else np.tile(column_scale, k)
+    z = np.concatenate(Z.T)
+    p = A.shape[1]
+    active = np.ones(p, dtype=bool)
+    for sweep in range(1, max_iter + 1):
+        cols = slice(None) if active.all() else active
+        A_act = A[:, cols]
+        scale = None
+        if column_scale is not None:
+            scale = column_scale[cols]
+            A_act = A_act / scale
+        C_act = constraint[:, cols] if constraint is not None else None
+        if C_act is not None and scale is not None:
+            C_act = C_act / scale
+        w_act = _constrained_solve(A_act, z, C_act)
+        if scale is not None:
+            w_act = w_act / scale
+        w = np.zeros(p)
+        w[cols] = w_act
+        w = threshold_pass(w, lam)
+        kept = w != 0.0
+        if not kept.any():
+            if np.max(np.abs(z), initial=0.0) <= 1e-12:
+                return np.zeros(p), sweep
+            raise InfeasibleSparsityError(
+                f"threshold {lam} removed every candidate for {what}; lower lambda"
+            )
+        if np.array_equal(kept, active):
+            return w, sweep
+        active = kept
+    raise RegressionError(f"thresholding did not stabilize for {what} after {max_iter} sweeps")
+
+
+def outcome(fn, *args, **kwargs):
+    """Coefficient bits and sweeps of an STLS call, or its exception type and message."""
+    try:
+        w, sweeps = fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return w.view(np.uint64).tolist(), sweeps
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 12),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.integers(1, 2),
+    st.sampled_from([0.0, 1e-6, 1e-2]),
+    st.sampled_from([None, 0.0, 1e-14, -1e-14, 1e-10, -1e-10]),
+)
+@settings(max_examples=200, deadline=None)
+def test_screened_stls_matches_exact_stls(seed, log_cond, duplicate, constrained, scaled, k, noise, nudge):
+    # a tall design with singular values 1 .. 10^-log_cond, optionally a
+    # duplicated column, noise, constraint rows and a column scale; lam is
+    # random or within a relative nudge of a least-squares coefficient
+    from sparsefl.regression import _factor, _stls
+
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(2, 9))
+    m = int(rng.integers(p + k + 2, 80))
+    U = np.linalg.qr(rng.normal(size=(m, p)))[0]
+    V = np.linalg.qr(rng.normal(size=(p, p)))[0]
+    A = (U * np.logspace(0, -log_cond, p)) @ V.T * rng.uniform(0.5, 3.0)
+    if duplicate:
+        A[:, -1] = A[:, 0]
+    Z = A @ (rng.normal(size=(p, k)) * (rng.random((p, k)) < 0.6)) + noise * rng.normal(size=(m, k))
+    scale = np.linalg.norm(A, axis=0) if scaled else None
+    C = rng.normal(size=(int(rng.integers(1, p)), k * p)) if constrained else None
+    if nudge is None:
+        lam = float(rng.uniform(0.0, 1.0))
+    else:
+        ls = np.linalg.lstsq(A, Z[:, 0], rcond=None)[0]
+        lam = abs(float(ls[rng.integers(p)])) * (1.0 + nudge)
+    z = Z[:, 0] if k == 1 else Z
+    factor = _factor(A, Z, scale)
+    args = (A, z, lam, 10, C, scale, "w")
+    assert outcome(_stls, *args, factor=factor) == outcome(exact_stls, *args)
+
+
+def screen_grid_data(noise, estimated):
+    from sparsefl.data import estimate_derivatives
+
+    d = integrate(chain_integrator_system(3), [0.5, 0.0, 0.0], default_excitation(), 0.01, 999)
+    if noise:
+        rng = np.random.default_rng(0)
+        d = Dataset(d.times, d.X + noise * rng.standard_normal(d.X.shape), d.U,
+                    d.Y + noise * rng.standard_normal(d.m), Xdot=d.Xdot)
+    return estimate_derivatives(Dataset(d.times, d.X, d.U, d.Y)) if estimated else d
+
+
+@pytest.mark.parametrize(
+    "noise, estimated, normalize, lam",
+    [(0.0, True, False, 0.05), (1e-3, False, False, 0.05), (0.0, True, True, 0.05)],
+    ids=["estimated", "noisy", "estimated-normalized"],
+)
+def test_screened_solve_matches_exact_solve(monkeypatch, noise, estimated, normalize, lam):
+    # rank-deficient chain3 libraries, where trusting every screened
+    # decision, without the bound, changes the coefficients
+    import sparsefl.regression as regression
+
+    d = screen_grid_data(noise, estimated)
+    ds = build_dictionaries(LibrarySpec(poly_order=5, trig_orders=(1, 2), normalize_columns=normalize), d)
+
+    def run():
+        try:
+            model = solve(ds, d, RegressionConfig(lam=lam, relative_degree=3))
+        except RegressionError as exc:
+            diagnostics = exc.diagnostics.to_dict() if exc.diagnostics else None
+            return type(exc), str(exc), diagnostics
+        coefficients = [a.view(np.uint64).tolist() for a in (model.xi_tilde, model.xi_hat, model.zeta)]
+        return coefficients, model.diagnostics.to_dict()
+
+    screened = run()
+    monkeypatch.setattr(regression, "_stls", exact_stls)
+    assert screened == run()
+
+
+@pytest.mark.parametrize("workload", ["chain3_r3_m2000", "vdp_wide_m5000"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_m_row_solves_only_for_returned_supports(monkeypatch, workload, seed):
+    # on the benchmark workloads every sweep that drops columns is decided on
+    # the factor: each m-row least-squares call is as narrow as the support
+    # its STLS returns
+    import sys
+    from pathlib import Path
+
+    import sparsefl.regression as regression
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    wl = workloads.setup(workload, seed)
+    d = integrate(wl.plant, list(wl.spec.x0), wl.excitation, workloads.DT, wl.m - 1)
+    ds = build_dictionaries(wl.library, d)
+    widths, calls = [], []
+    lstsq, stls = regression._lstsq, regression._stls
+
+    def lstsq_spy(A, z):
+        if A.shape[0] >= d.m:
+            widths.append(A.shape[1])
+        return lstsq(A, z)
+
+    def stls_spy(*args, **kwargs):
+        widths.clear()
+        w, sweeps = stls(*args, **kwargs)
+        calls.append((list(widths), np.count_nonzero(w)))
+        return w, sweeps
+
+    monkeypatch.setattr(regression, "_lstsq", lstsq_spy)
+    monkeypatch.setattr(regression, "_stls", stls_spy)
+    solve(ds, d, wl.regression)
+    assert calls and all(max(m_row, default=0) <= support for m_row, support in calls)
