@@ -65,7 +65,7 @@ class RegressionError(RuntimeError):
 
 
 class InfeasibleSparsityError(RegressionError):
-    """Thresholding removed every candidate; the threshold is too large."""
+    """Thresholding removed every candidate of a block; the threshold is too large."""
 
 
 @dataclass(frozen=True)
@@ -226,16 +226,24 @@ def _factor(A: np.ndarray, Z: np.ndarray, scale: np.ndarray | None) -> _Factor |
 
     It cannot when the bound of _stls fails for A's largest column alone,
     and so for every sweep that keeps it. R is built 512 rows at a time, as
-    the R of [R; next rows]: one QR of all m x (p + n) entries read 6.6 MB
-    more ``peak_rss_mb`` in the benchmark at m = 5000, p + n = 60.
+    the R of [R; next rows] written into one buffer: one QR of all
+    m x (p + n) entries read 6.6 MB more ``peak_rss_mb`` in the benchmark at
+    m = 5000, p + n = 60.
     """
     (m, p), n = A.shape, Z.shape[1]
     if m < p + n:
         return None
-    R = np.empty((0, p + n))
+    stack, k = np.empty((p + n + 512, p + n)), 0  # [R; next rows], R in the top k rows
     for i in range(0, m, 512):
-        rows = np.hstack([A[i : i + 512] / (1.0 if scale is None else scale), Z[i : i + 512]])
-        R = np.linalg.qr(np.vstack([R, rows]), mode="r")
+        rows = stack[k : k + min(512, m - i)]
+        if scale is None:
+            rows[:, :p] = A[i : i + 512]
+        else:
+            np.divide(A[i : i + 512], scale, out=rows[:, :p])
+        rows[:, p:] = Z[i : i + 512]
+        R = np.linalg.qr(stack[: k + len(rows)], mode="r")
+        k = len(R)
+        stack[:k] = R
     if not np.all(np.isfinite(R)):
         return None
     smin, norms = np.linalg.svd(R[:p, :p], compute_uv=False)[-1], np.sum(R[:p, :p] ** 2, axis=0)
@@ -430,7 +438,8 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     constrained steps (each linear in its block) until the coefficients stop
     moving, and a largest output coefficient within rounding of 1 is divided
     out. The :class:`Diagnostics` record is built once, after
-    the solve. A run that did not converge, an all-zero output, or a
+    the solve. A run that did not converge, an all-zero output, an all-zero
+    input channel under a nonzero input (no linearizing law exists), or a
     constraint residual above ``lie.DEFAULT_ZERO_TOL`` (a model that
     :func:`lie.relative_degree` certifies at a lower r) raises
     :class:`RegressionError` carrying that full record.
@@ -505,20 +514,6 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
             notes.append("coefficients still moving at max_alt_iters")
     xi_tilde, xi_hat = W[:p_x], W[p_x:]
 
-    # guard: an all-zero input channel makes every mixed Lie derivative vanish
-    # and no feedback-linearizing law exists; keep the strongest candidate.
-    if np.max(np.abs(xi_hat), initial=0.0) == 0.0 and np.max(np.abs(d.U)) > 0.0:
-        raw = np.column_stack(
-            [_lstsq(theta, d.Xdot[:, l])[p_x:] for l in range(n)]
-        )
-        idx = np.unravel_index(np.argmax(np.abs(raw)), raw.shape)
-        if raw[idx] != 0.0:
-            xi_hat[idx] = raw[idx]
-            notes.append(
-                "thresholding emptied the input-channel block; kept the "
-                f"largest candidate ({raw[idx]:.3g}) to preserve invertibility"
-            )
-
     # Y fixes the output scale and the constraint is homogeneous in zeta, so
     # a largest output coefficient within 1e-9 of 1 is 1 up to rounding.
     pivot = zeta[np.argmax(np.abs(zeta))] if gc is not None else 1.0
@@ -548,6 +543,12 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
         )
     if pivot == 0.0:
         raise InfeasibleSparsityError("output coefficients are all zero; lower lambda", diagnostics)
+    # an all-zero input channel makes every mixed Lie derivative vanish, so
+    # no feedback-linearizing law exists for the model
+    if np.max(np.abs(xi_hat), initial=0.0) == 0.0 and np.max(np.abs(d.U)) > 0.0:
+        raise InfeasibleSparsityError(
+            "threshold removed every input-channel candidate; lower lambda", diagnostics
+        )
     if gc is not None and diagnostics.constraint_residual > DEFAULT_ZERO_TOL:
         raise RegressionError(
             f"constraint residual {diagnostics.constraint_residual:.3g} exceeds tolerance "

@@ -24,7 +24,7 @@ rewriting is performed.
 
 :func:`evaluate_columns` evaluates many expressions on many samples at once
 and returns exactly the numbers that per-sample :meth:`Expression.evaluate`
-calls return, bit for bit (see its docstring for why that holds).
+calls return, bit for bit (see its docstring for what that rests on).
 """
 
 from __future__ import annotations
@@ -285,24 +285,35 @@ class Expression:
         return f"Expression({format_expression(self)!r}, n_states={self.n_states})"
 
 
+def _powers(values: list[float], p: int) -> np.ndarray:
+    """``[v ** p for v in values]`` as an array, by libm ``pow`` on Python floats."""
+    try:
+        return np.fromiter(map(math.pow, values, repeat(float(p))), float, len(values))
+    except OverflowError:
+        # math.pow's message differs; raise the scalar ``v ** p`` error Term.evaluate raises
+        return np.fromiter(map(pow, values, repeat(p)), float, len(values))
+
+
 def evaluate_columns(exprs: Sequence[Expression], X: np.ndarray) -> np.ndarray:
     """Evaluate ``exprs`` at every row of ``X`` (m x n).
 
     Returns an m x len(exprs) array whose column j equals
     ``[exprs[j].evaluate(X[i]) for i in range(m)]`` bit for bit.
 
-    Each distinct atom column (``x_i^p`` or a trig atom) is computed
-    once per call, element by element with the same scalar operations
-    :meth:`Term.evaluate` uses (``v ** p``, ``math.sin(freq * v)``), iterated
-    in C by ``map``. Vector ``np.power``/``np.sin`` may round differently
-    from the scalar libm calls, so they are not used; an overflowing power
-    raises ``OverflowError`` as the scalar one does. ``v ** 1`` is ``v``
-    itself, so power-1 atoms are the state columns. The product
-    ``freq * v`` is one IEEE multiply, elementwise or scalar. Term columns
-    are then formed by multiplying the coefficient by the atom columns in
-    :meth:`Term.evaluate`'s factor order, and summed from zero in term
-    order; elementwise IEEE multiply and add round exactly as the scalar
-    operations do.
+    Each distinct atom column (``x_i^p`` or a trig atom) is computed once
+    per call. A power is libm ``pow`` of each sample, called through
+    ``math.pow`` (the scalar ``v ** p`` calls the same ``pow``; vector
+    ``np.power`` rounds differently), and an overflowing power raises the
+    scalar ``OverflowError``. ``v ** 1`` is ``v`` itself, so power-1 atoms
+    are the state columns. A trig atom is ``np.sin``/``np.cos`` of
+    ``X[:, v] * float(freq)``, the same IEEE multiply as the scalar
+    ``freq * v``. That numpy's float64 sin/cos loop returns what
+    ``math.sin``/``math.cos`` return was verified on numpy 2.4.6 (its
+    X86_V4 loop, over 10^6 to 10^7 samples), not proven; the tests pin it.
+    Term columns are then formed by multiplying the coefficient by the atom
+    columns in :meth:`Term.evaluate`'s factor order, and summed from +0.0
+    in term order; elementwise IEEE multiply and add round exactly as the
+    scalar operations do.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -312,36 +323,39 @@ def evaluate_columns(exprs: Sequence[Expression], X: np.ndarray) -> np.ndarray:
         raise ValueError("non-finite state component")
 
     atoms: dict[tuple, np.ndarray] = {}
+    floats: dict[int, list[float]] = {}  # state column i as Python floats, for pow
 
     def atom(key: tuple) -> np.ndarray:
         # key: ("x", i, p) for x_i^p, or a trig atom
         if key not in atoms:
             if key[0] == "x":
-                column, p = X[:, key[1]], key[2]
-                if p > 1:
-                    # Python floats, so pow is the float power Term.evaluate calls
-                    column = np.fromiter(map(pow, column.tolist(), repeat(p)), float, m)
-                atoms[key] = column
+                _, i, p = key
+                if p == 1:
+                    atoms[key] = X[:, i]
+                else:
+                    if i not in floats:
+                        floats[i] = X[:, i].tolist()
+                    atoms[key] = _powers(floats[i], p)
             else:
                 kind, freq, var = key
-                fn = math.sin if kind == "sin" else math.cos
-                angles = (X[:, var] * float(freq)).tolist()
-                atoms[key] = np.fromiter(map(fn, angles), float, m)
+                angles = X[:, var] * float(freq)
+                atoms[key] = (np.sin if kind == "sin" else np.cos)(angles, out=angles)
         return atoms[key]
 
     out = np.empty((m, len(exprs)))
+    total, value = np.empty(m), np.empty(m)
     for j, e in enumerate(exprs):
         if e.n_states != n:
             raise ValueError(f"points have {n} components, expected {e.n_states}")
-        total = np.zeros(m)
+        total.fill(0.0)
         for t in e.terms:
-            value = t.coefficient
+            value.fill(t.coefficient)
             for i, p in enumerate(t.monomial):
                 if p:
-                    value = value * atom(("x", i, p))
+                    np.multiply(value, atom(("x", i, p)), out=value)
             for trig in t.trig_atoms:
-                value = value * atom(trig)
-            total += value
+                np.multiply(value, atom(trig), out=value)
+            np.add(total, value, out=total)
         out[:, j] = total
     return out
 

@@ -7,7 +7,7 @@ import pytest
 
 from sparsefl.control import synthesize
 from sparsefl.dictionary import LibrarySpec, build_dictionaries
-from sparsefl.dynamics import integrate, sine_sum_input, vdp_system
+from sparsefl.dynamics import ControlAffineSystem, integrate, sine_sum_input, vdp_system
 from sparsefl.lie import relative_degree
 from sparsefl.regression import RegressionConfig, solve
 from sparsefl.symexpr import Expression, Term
@@ -19,6 +19,13 @@ EXCITATION_PHASES = (0.0, 0.7, 1.9)
 
 def default_excitation():
     return sine_sum_input([1.0, 1.0, 1.0], EXCITATION_FREQS, EXCITATION_PHASES)
+
+
+def weak_input_dataset(gain: float):
+    """100 samples of the excited Van der Pol drift with input gain ``gain`` on x2."""
+    vdp = vdp_system(1.0, 1.0, 1.0)
+    weak = ControlAffineSystem(vdp.f, (Expression.zero(2), Expression.constant(gain, 2)), vdp.c, 2)
+    return integrate(weak, [2.0, 0.0], default_excitation(), 0.01, 99)
 
 
 @pytest.fixture(scope="session")

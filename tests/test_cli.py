@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import weak_input_dataset
 from sparsefl.cli import (
     EXIT_CONFIG,
     EXIT_IDENTIFICATION,
@@ -19,6 +20,7 @@ from sparsefl.cli import (
     main,
 )
 from sparsefl.control import synthesize
+from sparsefl.data import save_csv
 from sparsefl.dictionary import LibrarySpec
 from sparsefl.dynamics import vdp_system
 from sparsefl.lie import relative_degree
@@ -240,6 +242,19 @@ def test_identify_recovers_demo_model(tmp_path, dataset_path):
 def test_identify_overlarge_lambda_fails_with_code_three(tmp_path, dataset_path):
     code = run(["identify", "--data", dataset_path, "--out", tmp_path, "--lambda", "10"])
     assert code == EXIT_IDENTIFICATION
+
+
+def test_identify_emptied_input_channel_fails_with_code_three(tmp_path, capsys):
+    # input gain 0.03 below lambda: no input-channel candidate survives, which
+    # admits no linearizing law; no model is written
+    data = tmp_path / "weak.csv"
+    save_csv(weak_input_dataset(0.03), data)
+    cfg = write_config(tmp_path, {"library": {"poly_order": 5, "trig_orders": [1, 2]}})
+    code = run(["identify", "--data", data, "--config", cfg, "--out", tmp_path])
+    assert code == EXIT_IDENTIFICATION
+    err = capsys.readouterr().err
+    assert "every input-channel candidate" in err and "diagnostics:" in err
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_identify_estimates_missing_derivatives(tmp_path, dataset_path):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import default_excitation
+from conftest import default_excitation, weak_input_dataset
 from sparsefl.data import Dataset
 from sparsefl.dictionary import LibrarySpec, build_dictionaries
 from sparsefl.dynamics import ControlAffineSystem, chain_integrator_system, integrate, vdp_system
@@ -434,9 +434,9 @@ def test_missing_derivatives_raises(vdp_dicts):
         solve(ds, d, RegressionConfig())
 
 
-def test_emptied_input_channel_keeps_largest_candidate():
-    # true input gain 0.3 sits below the threshold 0.4; the solver must keep
-    # it anyway (an all-zero input channel admits no linearizing law) and say so.
+def test_emptied_input_channel_raises():
+    # true input gain 0.3 sits below the threshold 0.4: an all-zero input
+    # channel admits no linearizing law, so the solve fails and says why
     n = 2
     x1, x2 = Expression.variable(0, n), Expression.variable(1, n)
     sys = vdp_system(1, 1, 1)
@@ -448,10 +448,24 @@ def test_emptied_input_channel_keeps_largest_candidate():
     )
     d = integrate(weak, [1.0, 0.0], default_excitation(), 0.01, 99)
     ds = build_dictionaries(LibrarySpec(poly_order=2), d)
-    model = solve(ds, d, RegressionConfig(lam=0.4, constraint_mode="none"))
-    assert np.count_nonzero(model.xi_hat) == 1
-    assert abs(model.xi_hat[ds.labels_g().index("u"), 1] - 0.3) <= 0.05
-    assert any("input-channel" in note for note in model.diagnostics.notes)
+    with pytest.raises(InfeasibleSparsityError, match="every input-channel candidate") as err:
+        solve(ds, d, RegressionConfig(lam=0.4, constraint_mode="none"))
+    assert err.value.diagnostics.active_counts["xi_hat"] == [0, 0]
+
+
+@pytest.mark.parametrize("poly_order", [3, 5])
+def test_emptied_input_channel_raises_on_trig_library(poly_order):
+    # input gain 0.03 below lambda = 0.05: the solve once wrote the largest
+    # unthresholded lstsq coefficient back (g2 = -0.0596*cos(2*x2) at
+    # poly_order 5), and that wrong model certified r = 2
+    d = weak_input_dataset(0.03)
+    ds = build_dictionaries(LibrarySpec(poly_order=poly_order, trig_orders=(1, 2)), d)
+    with pytest.raises(InfeasibleSparsityError, match="lower lambda") as err:
+        solve(ds, d, RegressionConfig(lam=0.05))
+    diagnostics = err.value.diagnostics
+    assert diagnostics.converged
+    assert diagnostics.active_counts["xi_hat"] == [0, 0]
+    assert diagnostics.constraint_residual == 0.0
 
 
 # -- support recovery on randomized systems ---------------------------------------------------

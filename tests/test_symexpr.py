@@ -285,6 +285,32 @@ def test_evaluate_columns_is_bitwise_evaluate(seed, n):
     assert np.array_equal(bits(evaluate_columns(exprs, X)), bits(oracle))
 
 
+def test_evaluate_columns_is_bitwise_scalar_in_bulk():
+    # the vector sin/cos loop and libm pow against the scalar calls of
+    # Term.evaluate on 1.4e6 values: angles up to |freq * x| ~ 1e6 for
+    # freq 1-5, bases of both signs from subnormal results up to 1e305 for
+    # powers 2-5, exact zeros of both signs and unit magnitudes
+    m = 100_000
+    rng = np.random.default_rng(20240611)
+    sign = lambda: rng.choice([-1.0, 1.0], size=m)  # noqa: E731
+    X = np.column_stack([sign() * 10.0 ** rng.uniform(-3.0, 5.3, m),
+                         sign() * 10.0 ** rng.uniform(-64.0, 61.0, m)])
+    X[::50] = rng.choice(np.array([0.0, -0.0, 1.0, -1.0]), size=X[::50].shape)
+    X[1::50, 1] = rng.uniform(-3.0, 3.0, size=X[1::50, 1].shape)
+    t, v = X.T.tolist()
+    exprs, oracle = [], []
+    for freq in range(1, 6):
+        for kind, fn in (("sin", math.sin), ("cos", math.cos)):
+            exprs.append(Expression.trig(kind, freq, 0, 2))
+            oracle.append([0.0 + 1.0 * fn(freq * a) for a in t])
+    for p in range(2, 6):
+        exprs.append(Expression.monomial((0, p)))
+        oracle.append([0.0 + 1.0 * b**p for b in v])
+    bits = lambda a: a.view(np.uint64)  # noqa: E731
+    got = evaluate_columns(exprs, X)
+    assert np.array_equal(bits(got), bits(np.array(oracle).T))
+
+
 @pytest.mark.parametrize(
     "expr, X",
     [
