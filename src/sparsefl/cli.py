@@ -449,13 +449,10 @@ def _summarize(
     chain: lie.LieChain,
     stabilization: data.Dataset,
 ) -> dict:
-    # coefficient error against the configured true plant
+    # coefficient error of f, g and c against the configured true plant
     true_sys = cfg.system
-    max_err = 0.0
-    for l in range(true_sys.n):
-        diff_f = model.f[l] - true_sys.f[l]
-        diff_g = model.g[l] - true_sys.g[l]
-        max_err = max(max_err, diff_f.max_abs_coefficient(), diff_g.max_abs_coefficient())
+    pairs = [*zip(model.f, true_sys.f), *zip(model.g, true_sys.g), (model.c, true_sys.c)]
+    max_err = max((est - true).max_abs_coefficient() for est, true in pairs)
 
     final_norm = float(np.linalg.norm(stabilization.X[-1]))
     max_u = float(np.max(np.abs(stabilization.U)))

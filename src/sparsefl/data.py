@@ -110,6 +110,9 @@ def load_csv(path: str | Path) -> Dataset:
             raise DatasetError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
         rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    for i, h in enumerate(header):
+        if h in header[:i]:
+            raise DatasetError(f"{path}: repeated column {h!r}")
 
     state_cols = sorted(
         int(m.group(1)) for h in header if (m := re.fullmatch(r"x(\d+)", h))

@@ -2,12 +2,12 @@
 
 Three paired libraries are built from a :class:`LibrarySpec`:
 
-* drift library: constant, all monomials of total degree 1..poly_order
-  (graded-lexicographic within each degree block), then sin/cos of integer
-  multiples of each single state;
+* drift library: the constant 1 (always present), all monomials of total
+  degree 1..poly_order (graded-lexicographic within each degree block),
+  then sin/cos of integer multiples of each single state;
 * input library: the drift library times the input on the data,
-  ``theta_g = theta_f * u`` sample by sample (the constant entry gives the
-  pure ``u`` column). It has no symbolic entries of its own: column k of
+  ``theta_g = theta_f * u`` sample by sample, so the constant entry gives
+  the pure ``u`` column. It has no symbolic entries of its own: column k of
   ``theta_g`` belongs to drift entry k, and a model's g combines the input
   coefficients with the drift entries;
 * output library: powers ``1, x_k, x_k^2, ...`` of the observed state.
@@ -76,11 +76,9 @@ class LibrarySpec:
 
     poly_order: int = 3
     trig_orders: tuple[int, ...] = ()
-    include_constant: bool = True
     output_state_index: int = 0
     output_poly_order: int = 3
     cross_trig: bool = False
-    normalize_columns: bool = False
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -107,9 +105,7 @@ def _monomial_exponents(n: int, degree: int):
 
 
 def _drift_entries(spec: LibrarySpec, n: int) -> list[Expression]:
-    entries: list[Expression] = []
-    if spec.include_constant:
-        entries.append(Expression.constant(1.0, n))
+    entries = [Expression.constant(1.0, n)]
     for degree in range(1, spec.poly_order + 1):
         for exps in _monomial_exponents(n, degree):
             entries.append(Expression((Term(1.0, exps),), n))

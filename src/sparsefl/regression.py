@@ -180,8 +180,8 @@ def _constrained_solve(A: np.ndarray, z: np.ndarray, C: np.ndarray | None) -> np
     return N @ _lstsq(A @ N, z)
 
 
-def _block_columns(A: np.ndarray, scale: np.ndarray | None, active: np.ndarray) -> np.ndarray:
-    """Columns ``active`` of blockdiag(A, ..., A) / scale, one block's ``scale``.
+def _block_columns(A: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Columns ``active`` of blockdiag(A, ..., A).
 
     Bits and memory order are those of the Kronecker product eye(k) x A, so
     BLAS and LAPACK see the same input: 0.0 * A (signed zeros) off the
@@ -191,7 +191,7 @@ def _block_columns(A: np.ndarray, scale: np.ndarray | None, active: np.ndarray) 
     k = active.size // p
     cols = slice(None) if active.all() else active
     if k == 1:
-        return A[:, cols] if scale is None else A[:, cols] / scale[cols]
+        return A[:, cols]
     out = np.empty((k * m, np.count_nonzero(active)), order="C" if active.all() else "F")
     start = 0
     for j, act in enumerate(active.reshape(k, p)):
@@ -199,15 +199,13 @@ def _block_columns(A: np.ndarray, scale: np.ndarray | None, active: np.ndarray) 
         for i in range(k):
             block = out[i * m : (i + 1) * m, span]
             np.multiply(float(i == j), a, out=block)
-            if scale is not None:
-                np.divide(block, scale[act], out=block)
         start = span.stop
     return out
 
 
 @dataclass(frozen=True)
 class _Factor:
-    """QR of a column-scaled design with right-hand sides: [A/s | Z] = Q [[r, qtz], [0, T]].
+    """QR of a design with right-hand sides: [A | Z] = Q [[r, qtz], [0, T]].
 
     ``out[j]`` = |T[:, j]|^2, the part of Z[:, j] outside range(A); ``norms[j]`` = |r[:, j]|^2.
     No column subset, projection A_S N (N orthonormal) or block diagonal of
@@ -221,7 +219,7 @@ class _Factor:
     smin: float
 
 
-def _factor(A: np.ndarray, Z: np.ndarray, scale: np.ndarray | None) -> _Factor | None:
+def _factor(A: np.ndarray, Z: np.ndarray) -> _Factor | None:
     """The :class:`_Factor` of ``A`` against ``Z``'s columns; None when it cannot screen.
 
     It cannot when the bound of _stls fails for A's largest column alone,
@@ -236,10 +234,7 @@ def _factor(A: np.ndarray, Z: np.ndarray, scale: np.ndarray | None) -> _Factor |
     stack, k = np.empty((p + n + 512, p + n)), 0  # [R; next rows], R in the top k rows
     for i in range(0, m, 512):
         rows = stack[k : k + min(512, m - i)]
-        if scale is None:
-            rows[:, :p] = A[i : i + 512]
-        else:
-            np.divide(A[i : i + 512], scale, out=rows[:, :p])
+        rows[:, :p] = A[i : i + 512]
         rows[:, p:] = Z[i : i + 512]
         R = np.linalg.qr(stack[: k + len(rows)], mode="r")
         k = len(R)
@@ -258,16 +253,14 @@ def _stls(
     lam: float,
     max_iter: int,
     constraint: np.ndarray | None = None,
-    column_scale: np.ndarray | None = None,
     what: str = "coefficients",
     factor: _Factor | None = None,
 ) -> tuple[np.ndarray, int]:
     """Sequential thresholded least squares with optional equality constraint.
 
     Solves blockdiag(A, ..., A) w = [z_1; ...; z_k], one block per column of
-    ``z``, on the current active columns, thresholds in raw units, and
-    repeats until the active set stabilizes. ``column_scale`` (one block's,
-    if given) conditions each solve by unit-normalizing columns. Returns the
+    ``z``, on the current active columns, thresholds the coefficients at
+    ``lam``, and repeats until the active set stabilizes. Returns the
     coefficients and the number of sweeps.
 
     ``factor``, the :class:`_Factor` of A against ``z``'s columns, lets a
@@ -278,44 +271,40 @@ def _stls(
     Z = z.reshape(m, -1)
     k = Z.shape[1]
     rhs = Z.T.reshape(-1)
-    scale = None if column_scale is None else np.tile(column_scale, k)
     if factor is not None:
         qtz, out, norms = factor.qtz.T.reshape(-1), float(np.sum(factor.out)), np.tile(factor.norms, k)
     active = np.ones(k * p, dtype=bool)
 
-    def thresholded(x, s):
+    def thresholded(x):
         w = np.zeros(k * p)
-        w[active] = x if s is None else x / s
+        w[active] = x
         return threshold_pass(w, lam)
 
     for sweep in range(1, max_iter + 1):
-        s = None if scale is None else scale[active]
         C = None if constraint is None else constraint[:, active]
-        if C is not None and s is not None:
-            C = C / s
         w = None
         # Householder least squares is exact for a design whose column j moved
         # by gamma = c * rows * cols * u of its norm (Higham 2002, Thms 19.4,
         # 20.3; c = 1 is an assumption the differential tests bear out, not a
         # certificate), so |dA|_2 <= gamma |A_S|_F for both solves. With
         # t = gamma |A_S|_F / smin < 1/2, Thm 20.1 puts both within delta of the
-        # exact solution: |w_j| clearing lam by 2 delta / s_j thresholds alike.
+        # exact solution: |w_j| clearing lam by 2 delta thresholds alike.
         if factor is not None:
             gamma = k * m * np.count_nonzero(active) * np.finfo(float).eps / 2
             t = gamma / (1 - gamma) * math.sqrt(float(np.sum(norms[active]))) / factor.smin
             if t < 0.5:
-                Rs = _block_columns(factor.r, None, active)
+                Rs = _block_columns(factor.r, active)
                 x = _constrained_solve(Rs, qtz, C)
                 rho = math.sqrt(out + float(np.sum((Rs @ x - qtz) ** 2)))
                 delta = 2 * t / (1 - t) * (float(np.linalg.norm(x)) + rho / factor.smin)
-                w = thresholded(x, s)
-                clear = np.abs(np.abs(x) - lam * (1.0 if s is None else s)) > 2 * delta
+                w = thresholded(x)
+                clear = np.abs(np.abs(x) - lam) > 2 * delta
                 if not clear.all():  # screen no later sweep: one failing p-row solve per call
                     w, factor = None, None
                 elif not w.any() or np.array_equal(w != 0.0, active):
                     w = None
         if w is None:
-            w = thresholded(_constrained_solve(_block_columns(A, column_scale, active), rhs, C), s)
+            w = thresholded(_constrained_solve(_block_columns(A, active), rhs, C))
         kept = w != 0.0
         if not kept.any():
             if np.max(np.abs(rhs), initial=0.0) <= 1e-12:
@@ -438,7 +427,7 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     constrained steps (each linear in its block) until the coefficients stop
     moving, and a largest output coefficient within rounding of 1 is divided
     out. The :class:`Diagnostics` record is built once, after
-    the solve. A run that did not converge, an all-zero output, an all-zero
+    the solve. A run that did not converge, an output Y that is zero, an all-zero
     input channel under a nonzero input (no linearizing law exists), or a
     constraint residual above ``lie.DEFAULT_ZERO_TOL`` (a model that
     :func:`lie.relative_degree` certifies at a lower r) raises
@@ -457,21 +446,12 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     notes: list[str] = []
     sweeps = 0
 
-    def unit_scale(a):
-        """Column norms that condition each solve (1 for a zero column)."""
-        if not ds.spec.normalize_columns:
-            return None
-        scale = np.linalg.norm(a, axis=0)
-        scale[scale == 0.0] = 1.0
-        return scale
-
-    col_scale, phi_scale = unit_scale(theta), unit_scale(ds.phi)
     # one QR per design serves every sweep of every state and step
-    theta_qr, phi_qr = _factor(theta, d.Xdot, col_scale), _factor(ds.phi, d.Y[:, None], phi_scale)
+    theta_qr, phi_qr = _factor(theta, d.Xdot), _factor(ds.phi, d.Y[:, None])
 
-    def stls(a, z, scale, constraint, what, factor):
+    def stls(a, z, constraint, what, factor):
         nonlocal sweeps
-        w, k = _stls(a, z, cfg.lam, cfg.max_outer_iters, constraint, scale, what, factor)
+        w, k = _stls(a, z, cfg.lam, cfg.max_outer_iters, constraint, what, factor)
         sweeps += k
         return w
 
@@ -479,11 +459,11 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
         """STLS of the given states' equations as one block-diagonal system into W[:, states]."""
         factor = theta_qr and replace(theta_qr, qtz=theta_qr.qtz[:, states], out=theta_qr.out[states])
         what = "state equation " + ", ".join(f"dx{j + 1}/dt" for j in states)
-        w = stls(theta, d.Xdot[:, states], col_scale, constraint, what, factor)
+        w = stls(theta, d.Xdot[:, states], constraint, what, factor)
         W[:, states] = w.reshape(len(states), -1).T
 
     # unconstrained initialization
-    zeta = stls(ds.phi, d.Y, phi_scale, None, "the output equation", phi_qr)
+    zeta = stls(ds.phi, d.Y, None, "the output equation", phi_qr)
     W_init = np.empty((theta.shape[1], n))
     for l in range(n):
         states_stls(W_init, [l], None)
@@ -506,7 +486,7 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
             if states:
                 states_stls(W, states, C)
             C = gc.zeta_rows(W[:p_x], W[p_x:])
-            zeta = stls(ds.phi, d.Y, phi_scale, C, "the output equation", phi_qr)
+            zeta = stls(ds.phi, d.Y, C, "the output equation", phi_qr)
             if max(np.max(np.abs(W - W_prev)), np.max(np.abs(zeta - zeta_prev))) < cfg.coef_tol:
                 break
         else:
@@ -541,8 +521,12 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
             f"alternating solver did not converge in {cfg.max_alt_iters} iterations",
             diagnostics,
         )
-    if pivot == 0.0:
-        raise InfeasibleSparsityError("output coefficients are all zero; lower lambda", diagnostics)
+    # STLS returns all-zero coefficients only for a right-hand side within 1e-12 of zero
+    if not zeta.any():
+        raise RegressionError(
+            f"output Y is zero (max |Y| = {np.max(np.abs(d.Y)):.3g}); c cannot be identified",
+            diagnostics,
+        )
     # an all-zero input channel makes every mixed Lie derivative vanish, so
     # no feedback-linearizing law exists for the model
     if np.max(np.abs(xi_hat), initial=0.0) == 0.0 and np.max(np.abs(d.U)) > 0.0:

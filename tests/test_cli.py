@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -16,6 +17,7 @@ from sparsefl.cli import (
     EXIT_OK,
     EXIT_RELATIVE_DEGREE,
     PipelineConfig,
+    _summarize,
     default_config,
     main,
 )
@@ -25,6 +27,7 @@ from sparsefl.dictionary import LibrarySpec
 from sparsefl.dynamics import vdp_system
 from sparsefl.lie import relative_degree
 from sparsefl.regression import RegressionConfig
+from sparsefl.symexpr import Expression
 
 
 def run(args):
@@ -132,8 +135,8 @@ NAN = float("nan")
         (["simulate", "--lambda", "0.1"], {"regression": None}, "regression"),
         (["pipeline"], {"controller": {"gains": []}}, "gains"),
         (["pipeline"], {"controller": {"gains": None, "poles": []}}, "poles"),
-        (["pipeline"], {"library": {"normalize_columns": "false"}}, "normalize_columns"),
-        (["pipeline"], {"library": {"include_constant": "no"}}, "include_constant"),
+        (["pipeline"], {"library": {"cross_trig": "false"}}, "cross_trig"),
+        (["pipeline"], {"library": {"cross_trig": "no"}}, "cross_trig"),
         (["pipeline"], {"library": {"poly_order": 2.9}}, "poly_order"),
         (["pipeline"], {"regression": {"relative_degree": True}}, "relative_degree"),
         (["pipeline"], {"library": {"trig_orders": [1, 1]}}, "trig_orders"),
@@ -156,6 +159,17 @@ NAN = float("nan")
         (["simulate"], {"simulation": {"dt": 10**400}}, "dt"),
         (["simulate"], {"excitation": {"kind": "chirp", "frequencies": []}}, "excitation.frequencies"),
         (["simulate"], {"excitation": {"amplitudes": 5}}, "excitation.amplitudes"),
+        # removed LibrarySpec fields, with values the spec used to accept
+        (
+            ["pipeline"],
+            {"library": {"normalize_columns": True}},
+            "unknown config key 'library.normalize_columns'",
+        ),
+        (
+            ["pipeline"],
+            {"library": {"include_constant": False}},
+            "unknown config key 'library.include_constant'",
+        ),
     ],
     ids=[
         "reference-kind", "pole-pair", "gains-not-list", "tracking-dt-nan",
@@ -166,6 +180,7 @@ NAN = float("nan")
         "dt-string", "x0-strings", "x0-bool", "system-param-string", "amplitude-string",
         "excitation-strings", "gain-bool", "pole-string", "constant-amplitude-missing",
         "dt-overflow", "chirp-frequency-missing", "amplitudes-not-list",
+        "normalize-columns-removed", "include-constant-removed",
     ],
 )
 def test_config_errors_exit_before_any_stage_writes(tmp_path, capsys, command, raw, named):
@@ -508,6 +523,14 @@ def test_pipeline_end_to_end(tmp_path):
         abs(float(r["x1_true"]) - float(r["x1_identified"])) for r in overlay
     )
     assert drift <= 1e-3
+
+
+def test_summary_error_includes_the_output_map(vdp_model, vdp_chain, vdp_dataset):
+    # f and g are identified to within 0.05; c = 2 x1 is off by exactly 1
+    cfg = PipelineConfig(default_config())
+    assert _summarize(cfg, vdp_model, vdp_chain, vdp_dataset)["max_coefficient_error"] <= 0.05
+    model = dataclasses.replace(vdp_model, c=2.0 * Expression.variable(0, 2))
+    assert _summarize(cfg, model, vdp_chain, vdp_dataset)["max_coefficient_error"] == 1.0
 
 
 def test_per_stage_commands_match_pipeline(tmp_path):

@@ -111,6 +111,17 @@ def test_csv_unexpected_column(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize(
+    "header, repeated", [("t,x1,u,u,y", "u"), ("t,x1,u,y,y", "y"), ("t,t,x1,u,y", "t")]
+)
+def test_csv_repeated_column(tmp_path, header, repeated):
+    # the first copy used to be taken and the other ignored
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{header}\n0.0,0.0,1,2,3\n0.01,0.01,1,2,3\n")
+    with pytest.raises(DatasetError, match=f"repeated column '{repeated}'"):
+        load_csv(path)
+
+
 def test_csv_columns_mapped_by_name(tmp_path):
     path = tmp_path / "shuffled.csv"
     path.write_text("u,y,t,x2,x1\n5.0,1.0,0.0,2.0,1.0\n6.0,1.5,0.01,2.5,1.5\n")

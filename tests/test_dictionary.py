@@ -90,8 +90,8 @@ def test_degenerate_library_rejected():
     [
         ("poly_order", 2.9),
         ("output_poly_order", True),
-        ("include_constant", "no"),
-        ("normalize_columns", 0),
+        ("cross_trig", "no"),
+        ("cross_trig", 0),
         ("trig_orders", (1.5,)),
         ("trig_orders", (True,)),
         ("trig_orders", (0,)),

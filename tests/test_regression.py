@@ -336,12 +336,6 @@ def test_vdp_constraint_residual_and_zero_g1(vdp_dicts, vdp_data):
     assert np.all(model.xi_hat[:, 0] == 0.0)
 
 
-def test_normalize_columns_variant(vdp_data):
-    ds = build_dictionaries(LibrarySpec(normalize_columns=True), vdp_data)
-    model = solve(ds, vdp_data, RegressionConfig())
-    assert abs(model.xi_hat[ds.labels_g().index("u"), 1] - 1.0) <= 0.05
-
-
 def test_identification_at_non_unit_parameters():
     # theta=1.5, sigma=0.8, mu=1.2: drift -2.25 x1 + 2.4 x2 - 2.88 x1^2 x2
     sys = vdp_system(1.5, 0.8, 1.2)
@@ -425,6 +419,21 @@ def test_surviving_coefficients_exceed_threshold(vdp_dicts, vdp_data):
 def test_max_outer_iters_exhaustion_raises(vdp_dicts, vdp_data):
     with pytest.raises(RegressionError, match="stabilize"):
         solve(vdp_dicts, vdp_data, RegressionConfig(max_outer_iters=1))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [RegressionConfig(), RegressionConfig(constraint_mode="none"), RegressionConfig(relative_degree=1)],
+    ids=["constrained", "mode-none", "degree-1"],
+)
+def test_zero_output_raises_in_every_mode(vdp_data, cfg):
+    # c = 0 used to come back with the constraint off, and with the advice
+    # to lower lambda with it on
+    d = Dataset(vdp_data.times, vdp_data.X, vdp_data.U, np.zeros(vdp_data.m), Xdot=vdp_data.Xdot)
+    with pytest.raises(RegressionError, match="output Y is zero") as info:
+        solve(build_dictionaries(LibrarySpec(), d), d, cfg)
+    assert type(info.value) is RegressionError
+    assert info.value.diagnostics.active_counts["zeta"] == 0
 
 
 def test_missing_derivatives_raises(vdp_dicts):
@@ -789,7 +798,7 @@ def test_model_json_round_trip(vdp_dicts, vdp_data):
     # to_dict is already the JSON form (tuples as lists, as the report prints them)
     assert payload["diagnostics"] == json.loads(json.dumps(payload["diagnostics"]))
     assert LibrarySpec(**payload["library"]) == vdp_dicts.spec
-    spec = LibrarySpec(poly_order=2, trig_orders=(2, 1), cross_trig=True, normalize_columns=True)
+    spec = LibrarySpec(poly_order=2, trig_orders=(2, 1), cross_trig=True)
     other = dataclasses.replace(model, dictionaries=dataclasses.replace(vdp_dicts, spec=spec))
     assert LibrarySpec(**model_to_dict(other)["library"]) == spec
 
@@ -814,11 +823,11 @@ def test_output_gain_is_kept_as_fitted(gain):
 # -- screened sweeps ---------------------------------------------------------------
 
 
-def exact_stls(A, z, lam, max_iter, constraint=None, column_scale=None, what="coefficients", factor=None):
+def exact_stls(A, z, lam, max_iter, constraint=None, what="coefficients", factor=None):
     """Reference STLS that solves every sweep on the whole m-row active design.
 
     Takes ``_stls``'s arguments and ignores ``factor``: the blocks of ``z``'s
-    columns are the Kronecker product eye(k) x A, the scale is tiled.
+    columns are the Kronecker product eye(k) x A.
     """
     from sparsefl.regression import _constrained_solve
 
@@ -826,25 +835,14 @@ def exact_stls(A, z, lam, max_iter, constraint=None, column_scale=None, what="co
     k = Z.shape[1]
     if k > 1:
         A = np.kron(np.eye(k), A)
-        column_scale = None if column_scale is None else np.tile(column_scale, k)
     z = np.concatenate(Z.T)
     p = A.shape[1]
     active = np.ones(p, dtype=bool)
     for sweep in range(1, max_iter + 1):
         cols = slice(None) if active.all() else active
-        A_act = A[:, cols]
-        scale = None
-        if column_scale is not None:
-            scale = column_scale[cols]
-            A_act = A_act / scale
         C_act = constraint[:, cols] if constraint is not None else None
-        if C_act is not None and scale is not None:
-            C_act = C_act / scale
-        w_act = _constrained_solve(A_act, z, C_act)
-        if scale is not None:
-            w_act = w_act / scale
         w = np.zeros(p)
-        w[cols] = w_act
+        w[cols] = _constrained_solve(A[:, cols], z, C_act)
         w = threshold_pass(w, lam)
         kept = w != 0.0
         if not kept.any():
@@ -873,15 +871,14 @@ def outcome(fn, *args, **kwargs):
     st.integers(0, 12),
     st.booleans(),
     st.booleans(),
-    st.booleans(),
     st.integers(1, 2),
     st.sampled_from([0.0, 1e-6, 1e-2]),
     st.sampled_from([None, 0.0, 1e-14, -1e-14, 1e-10, -1e-10]),
 )
 @settings(max_examples=200, deadline=None)
-def test_screened_stls_matches_exact_stls(seed, log_cond, duplicate, constrained, scaled, k, noise, nudge):
+def test_screened_stls_matches_exact_stls(seed, log_cond, duplicate, constrained, k, noise, nudge):
     # a tall design with singular values 1 .. 10^-log_cond, optionally a
-    # duplicated column, noise, constraint rows and a column scale; lam is
+    # duplicated column, noise and constraint rows; lam is
     # random or within a relative nudge of a least-squares coefficient
     from sparsefl.regression import _factor, _stls
 
@@ -894,7 +891,6 @@ def test_screened_stls_matches_exact_stls(seed, log_cond, duplicate, constrained
     if duplicate:
         A[:, -1] = A[:, 0]
     Z = A @ (rng.normal(size=(p, k)) * (rng.random((p, k)) < 0.6)) + noise * rng.normal(size=(m, k))
-    scale = np.linalg.norm(A, axis=0) if scaled else None
     C = rng.normal(size=(int(rng.integers(1, p)), k * p)) if constrained else None
     if nudge is None:
         lam = float(rng.uniform(0.0, 1.0))
@@ -902,8 +898,8 @@ def test_screened_stls_matches_exact_stls(seed, log_cond, duplicate, constrained
         ls = np.linalg.lstsq(A, Z[:, 0], rcond=None)[0]
         lam = abs(float(ls[rng.integers(p)])) * (1.0 + nudge)
     z = Z[:, 0] if k == 1 else Z
-    factor = _factor(A, Z, scale)
-    args = (A, z, lam, 10, C, scale, "w")
+    factor = _factor(A, Z)
+    args = (A, z, lam, 10, C, "w")
     assert outcome(_stls, *args, factor=factor) == outcome(exact_stls, *args)
 
 
@@ -919,17 +915,17 @@ def screen_grid_data(noise, estimated):
 
 
 @pytest.mark.parametrize(
-    "noise, estimated, normalize, lam",
-    [(0.0, True, False, 0.05), (1e-3, False, False, 0.05), (0.0, True, True, 0.05)],
-    ids=["estimated", "noisy", "estimated-normalized"],
+    "noise, estimated, lam",
+    [(0.0, True, 0.05), (1e-3, False, 0.05)],
+    ids=["estimated", "noisy"],
 )
-def test_screened_solve_matches_exact_solve(monkeypatch, noise, estimated, normalize, lam):
+def test_screened_solve_matches_exact_solve(monkeypatch, noise, estimated, lam):
     # rank-deficient chain3 libraries, where trusting every screened
     # decision, without the bound, changes the coefficients
     import sparsefl.regression as regression
 
     d = screen_grid_data(noise, estimated)
-    ds = build_dictionaries(LibrarySpec(poly_order=5, trig_orders=(1, 2), normalize_columns=normalize), d)
+    ds = build_dictionaries(LibrarySpec(poly_order=5, trig_orders=(1, 2)), d)
 
     def run():
         try:
