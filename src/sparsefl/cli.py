@@ -311,12 +311,6 @@ def cmd_simulate(cfg: PipelineConfig, out_dir: Path) -> data.Dataset:
     """Integrate the plant under the excitation; write dataset.csv and return it."""
     x0, dt, steps = cfg.simulation
     ds = dynamics.integrate(cfg.system, x0, cfg.excitation, dt, steps)
-    if np.max(np.abs(ds.U)) == 0.0 and cfg.regression.constraint_enabled:
-        print(
-            "warning: zero excitation: the input channel g cannot be identified "
-            "from a zero input",
-            file=sys.stderr,
-        )
     data.save_csv(ds, out_dir / "dataset.csv")
     return ds
 

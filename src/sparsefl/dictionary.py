@@ -137,16 +137,6 @@ class DictionarySet:
     phi: np.ndarray  # m x p_y
 
     @property
-    def theta_f(self) -> np.ndarray:
-        """Drift library on the data, m x p_x (a view of ``theta``)."""
-        return self.theta[:, : self.p_x]
-
-    @property
-    def theta_g(self) -> np.ndarray:
-        """Input library on the data, m x p_u (a view of ``theta``)."""
-        return self.theta[:, self.p_x :]
-
-    @property
     def p_x(self) -> int:
         return len(self.theta_f_entries)
 

@@ -28,8 +28,8 @@ constant output, c = 1) the state step is skipped.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass, field, replace
+from itertools import count
 
 import numpy as np
 
@@ -68,27 +68,27 @@ class InfeasibleSparsityError(RegressionError):
     """Thresholding removed every candidate of a block; the threshold is too large."""
 
 
+# The alternation has no termination proof: it stops once no coefficient moves
+# by ALT_TOL in one step, and a run still moving after ALT_STEPS steps fails.
+ALT_STEPS = 30
+ALT_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class RegressionConfig:
     """Sparse-regression knobs: the config's ``regression`` keys, ``lam`` spelled ``lambda``."""
 
     lam: float = 0.05
-    max_outer_iters: int = 25
-    max_alt_iters: int = 30
-    coef_tol: float = 1e-10
-    constraint_mode: str = "per_sample"  # per_sample | none
+    constraint_mode: str = "coefficients"  # coefficients | none
     relative_degree: int = 2
 
     def __post_init__(self) -> None:
         check_fields(self)  # NaN passes every ordered comparison below
         if self.lam < 0:
             raise ValueError("lam must be non-negative")
-        if self.coef_tol <= 0:
-            raise ValueError("coef_tol must be positive")
-        for name in ("max_outer_iters", "max_alt_iters", "relative_degree"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.constraint_mode not in ("per_sample", "none"):
+        if self.relative_degree < 1:
+            raise ValueError("relative_degree must be at least 1")
+        if self.constraint_mode not in ("coefficients", "none"):
             raise ValueError(f"unknown constraint_mode {self.constraint_mode!r}")
 
     @property
@@ -106,8 +106,6 @@ class Diagnostics:
     active_counts: dict = field(default_factory=dict)
     alt_iterations: int = 0
     stls_iterations: int = 0
-    converged: bool = False
-    notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         """The fields in order, tuples as lists."""
@@ -251,7 +249,6 @@ def _stls(
     A: np.ndarray,
     z: np.ndarray,
     lam: float,
-    max_iter: int,
     constraint: np.ndarray | None = None,
     what: str = "coefficients",
     factor: _Factor | None = None,
@@ -260,8 +257,11 @@ def _stls(
 
     Solves blockdiag(A, ..., A) w = [z_1; ...; z_k], one block per column of
     ``z``, on the current active columns, thresholds the coefficients at
-    ``lam``, and repeats until the active set stabilizes. Returns the
-    coefficients and the number of sweeps.
+    ``lam``, and repeats until the active set stops changing. Returns the
+    coefficients and the number of sweeps. A sweep keeps a subset of the
+    active columns and an unchanged set returns, so each sweep that goes on
+    drops at least one of the k * p columns and the loop ends within k * p
+    sweeps.
 
     ``factor``, the :class:`_Factor` of A against ``z``'s columns, lets a
     sweep that drops columns be decided on p rows when the bound below
@@ -280,7 +280,7 @@ def _stls(
         w[active] = x
         return threshold_pass(w, lam)
 
-    for sweep in range(1, max_iter + 1):
+    for sweep in count(1):
         C = None if constraint is None else constraint[:, active]
         w = None
         # Householder least squares is exact for a design whose column j moved
@@ -315,9 +315,6 @@ def _stls(
         if np.array_equal(kept, active):
             return w, sweep
         active = kept
-    raise RegressionError(
-        f"thresholding did not stabilize for {what} after {max_iter} sweeps"
-    )
 
 
 # -- relative-degree chain constraint ---------------------------------------------
@@ -424,13 +421,21 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     [xi_tilde_l; xi_hat_l]. Output and state coefficients are initialized by
     unconstrained sequential thresholded least squares; when the
     relative-degree constraint is enabled the solver then alternates
-    constrained steps (each linear in its block) until the coefficients stop
-    moving, and a largest output coefficient within rounding of 1 is divided
-    out. The :class:`Diagnostics` record is built once, after
-    the solve. A run that did not converge, an output Y that is zero, an all-zero
-    input channel under a nonzero input (no linearizing law exists), or a
-    constraint residual above ``lie.DEFAULT_ZERO_TOL`` (a model that
-    :func:`lie.relative_degree` certifies at a lower r) raises
+    constrained steps (each linear in its block) until no coefficient moves
+    by ``ALT_TOL``, and a largest output coefficient within rounding of 1 is
+    divided out.
+
+    Before any sweep, a constant input raises :class:`RegressionError`: a
+    nonzero one makes each input column that constant times its drift
+    column, so f and g cannot be separated, and a zero one leaves g, which
+    the constraint acts on, unidentifiable. Only a zero input with the
+    constraint off passes; it returns the drift and g = 0.
+
+    The :class:`Diagnostics` record is built once, after the solve. An
+    alternation still moving after ``ALT_STEPS`` steps, an output Y that is
+    zero, an all-zero input channel under a nonzero input (no linearizing
+    law exists), or a constraint residual above ``lie.DEFAULT_ZERO_TOL`` (a
+    model that :func:`lie.relative_degree` certifies at a lower r) raises
     :class:`RegressionError` carrying that full record.
     """
     if d.Xdot is None:
@@ -441,9 +446,18 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
             gc = GeneralConstraint(ds, cfg.relative_degree)
         except ValueError as exc:
             raise RegressionError(str(exc)) from None
+    u = float(d.U[0])
+    if (u != 0.0 or gc is not None) and d.U.min() == d.U.max():
+        why = (
+            f"input u is constant ({u!r}), so each input column is that constant times "
+            "its drift column and f and g cannot be separated"
+            if u
+            else "input u is identically zero, so the input channel g that the "
+            "relative-degree constraint acts on cannot be identified"
+        )
+        raise RegressionError(f"{why}; excite the plant with a varying input")
     n, p_x = d.n, ds.p_x
     theta = ds.theta
-    notes: list[str] = []
     sweeps = 0
 
     # one QR per design serves every sweep of every state and step
@@ -451,7 +465,7 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
 
     def stls(a, z, constraint, what, factor):
         nonlocal sweeps
-        w, k = _stls(a, z, cfg.lam, cfg.max_outer_iters, constraint, what, factor)
+        w, k = _stls(a, z, cfg.lam, constraint, what, factor)
         sweeps += k
         return w
 
@@ -469,15 +483,10 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
         states_stls(W_init, [l], None)
     W = W_init
     alt_iters = 0
-    converged = True
+    moving = False
 
     if gc is not None:
-        if np.max(np.abs(d.U)) == 0.0:
-            warnings.warn(
-                "input is identically zero; the input channel g cannot be identified",
-                stacklevel=2,
-            )
-        for alt_iters in range(1, cfg.max_alt_iters + 1):
+        for alt_iters in range(1, ALT_STEPS + 1):
             W_prev, zeta_prev = W, zeta
             # state step: the coupled states jointly, chain frozen at the
             # current (zeta, xi_tilde); the others keep their initialization
@@ -487,11 +496,10 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
                 states_stls(W, states, C)
             C = gc.zeta_rows(W[:p_x], W[p_x:])
             zeta = stls(ds.phi, d.Y, C, "the output equation", phi_qr)
-            if max(np.max(np.abs(W - W_prev)), np.max(np.abs(zeta - zeta_prev))) < cfg.coef_tol:
+            if max(np.max(np.abs(W - W_prev)), np.max(np.abs(zeta - zeta_prev))) < ALT_TOL:
                 break
         else:
-            converged = False
-            notes.append("coefficients still moving at max_alt_iters")
+            moving = True
     xi_tilde, xi_hat = W[:p_x], W[p_x:]
 
     # Y fixes the output scale and the constraint is homogeneous in zeta, so
@@ -513,12 +521,10 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
         },
         alt_iterations=alt_iters,
         stls_iterations=sweeps,
-        converged=converged,
-        notes=tuple(notes),
     )
-    if not converged:
+    if moving:
         raise RegressionError(
-            f"alternating solver did not converge in {cfg.max_alt_iters} iterations",
+            f"alternating solver did not converge in {ALT_STEPS} iterations",
             diagnostics,
         )
     # STLS returns all-zero coefficients only for a right-hand side within 1e-12 of zero

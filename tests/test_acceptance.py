@@ -193,7 +193,7 @@ def test_criterion_7_least_squares_oracle():
         )
         ds = build_dictionaries(LibrarySpec(poly_order=1), d)
         model = solve(ds, d, cfg)
-        theta = np.hstack([ds.theta_f, ds.theta_g])
+        theta = ds.theta
         for l in range(2):
             oracle = np.linalg.solve(theta.T @ theta, theta.T @ d.Xdot[:, l])
             got = np.concatenate([model.xi_tilde[:, l], model.xi_hat[:, l]])

@@ -73,16 +73,6 @@ def test_simulate_single_step_is_config_error(tmp_path):
     assert run(["simulate", "--config", cfg, "--out", tmp_path]) == EXIT_CONFIG
 
 
-def test_simulate_zero_excitation_warns_when_constraint_on(tmp_path, capsys):
-    # the warning follows the simulated input, not the excitation's kind
-    for excitation in ({"kind": "zero"}, {"kind": "sine_sum", "amplitudes": [0, 0, 0]}):
-        cfg = write_config(tmp_path, {"excitation": excitation})
-        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == EXIT_OK
-        assert "cannot be identified" in capsys.readouterr().err
-    assert run(["simulate", "--out", tmp_path]) == EXIT_OK
-    assert "cannot be identified" not in capsys.readouterr().err
-
-
 def test_unknown_config_key_rejected(tmp_path):
     cfg = write_config(tmp_path, {"regresion": {"lambda": 0.1}})
     assert run(["simulate", "--config", cfg, "--out", tmp_path]) == EXIT_CONFIG
@@ -291,19 +281,23 @@ def test_identify_estimates_missing_derivatives(tmp_path, dataset_path):
         ({"constraint_mode": "aggregated"}, "aggregated"),
         ({"lambda": float("nan")}, "lam"),
         ({"constraint_tol": float("nan")}, "constraint_tol"),  # removed: solve uses lie's tolerance
-        ({"max_outer_iters": 0}, "max_outer_iters"),
+        # removed: STLS stops by construction, the alternation's limits are constants
+        ({"max_outer_iters": 0}, "'regression.max_outer_iters'"),
+        ({"max_alt_iters": 30}, "'regression.max_alt_iters'"),
+        ({"coef_tol": 1e-10}, "'regression.coef_tol'"),
+        ({"constraint_mode": "per_sample"}, "per_sample"),  # renamed "coefficients"
     ],
     ids=[
         "solver_mode", "penalty_weight", "aggregated",
         "lambda-nan", "constraint_tol-nan", "max_outer_iters-0",
+        "max_alt_iters-removed", "coef_tol-removed", "per_sample-renamed",
     ],
 )
 def test_bad_regression_settings_are_config_errors(
     tmp_path, dataset_path, capsys, regression, named
 ):
-    # removed modes, and values json reads but no solve can use: a NaN
-    # lambda used to return a fully dense model with exit 0, and zero
-    # sweeps failed as an identification (exit 3)
+    # removed keys and modes, and values json reads but no solve can use: a
+    # NaN lambda used to return a fully dense model with exit 0
     cfg = write_config(tmp_path, {"regression": regression})
     code = run(["identify", "--data", dataset_path, "--config", cfg, "--out", tmp_path])
     assert code == EXIT_CONFIG
@@ -364,8 +358,12 @@ def test_lie_fractional_state_count_is_config_error(tmp_path, model_path, capsys
     assert not out.exists() or not any(out.rglob("*"))
 
 
-def test_identify_non_converged_prints_full_diagnostics(tmp_path, dataset_path, capsys):
+def test_identify_non_converged_prints_full_diagnostics(
+    tmp_path, dataset_path, capsys, monkeypatch
+):
     # noisy output and derivatives need a second alternation step
+    import sparsefl.regression as regression
+
     rows = list(csv.reader(dataset_path.read_text().splitlines()))
     rng = np.random.default_rng(0)
     noisy = [rows[0]] + [
@@ -374,9 +372,9 @@ def test_identify_non_converged_prints_full_diagnostics(tmp_path, dataset_path, 
     ]
     with dataset_path.open("w", newline="") as fh:
         csv.writer(fh).writerows(noisy)
-    cfg = write_config(tmp_path, {"regression": {"max_alt_iters": 1}})
+    monkeypatch.setattr(regression, "ALT_STEPS", 1)
     out = tmp_path / "run"
-    code = run(["identify", "--data", dataset_path, "--config", cfg, "--out", out])
+    code = run(["identify", "--data", dataset_path, "--out", out])
     assert code == EXIT_IDENTIFICATION
     err = capsys.readouterr().err
     assert "did not converge" in err
@@ -523,6 +521,31 @@ def test_pipeline_end_to_end(tmp_path):
         abs(float(r["x1_true"]) - float(r["x1_identified"])) for r in overlay
     )
     assert drift <= 1e-3
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"excitation": {"kind": "constant", "amplitudes": [1.0]}}, "cannot be separated"),
+        (
+            {"excitation": {"kind": "constant", "amplitudes": [1.0]},
+             "regression": {"constraint_mode": "none"}},
+            "cannot be separated",
+        ),
+        ({"excitation": {"kind": "zero"}}, "identically zero"),
+        ({"excitation": {"kind": "sine_sum", "amplitudes": [0, 0, 0]}}, "identically zero"),
+    ],
+    ids=["constant", "constant-unconstrained", "zero", "zero-amplitudes"],
+)
+def test_pipeline_constant_excitation_fails_identification(tmp_path, capsys, raw, message):
+    # a constant u = 1 used to exit 0 with f and g split at will (dx2/dt with
+    # eight terms, half of them times u); a zero one failed later, at lie
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "run"
+    assert run(["pipeline", "--config", cfg, "--out", out]) == EXIT_IDENTIFICATION
+    err = capsys.readouterr().err
+    assert message in err and "warning" not in err
+    assert (out / "dataset.csv").exists() and not (out / "model.json").exists()
 
 
 def test_summary_error_includes_the_output_map(vdp_model, vdp_chain, vdp_dataset):

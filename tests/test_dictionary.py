@@ -67,7 +67,7 @@ def test_polynomial_block_prefix_property():
     small = build_dictionaries(LibrarySpec(poly_order=2), d)
     large = build_dictionaries(LibrarySpec(poly_order=3), d)
     assert large.labels_f()[: small.p_x] == small.labels_f()
-    assert np.array_equal(large.theta_f[:, : small.p_x], small.theta_f)
+    assert np.array_equal(large.theta[:, : small.p_x], small.theta[:, : small.p_x])
 
 
 def test_cross_trig_products_available():
@@ -127,9 +127,9 @@ def test_output_index_out_of_range():
 def test_input_matrix_row_arithmetic():
     d = dataset_from_states([[2.0, 3.0], [2.0, 3.0]], U=[5.0, 5.0])
     ds = build_dictionaries(LibrarySpec(poly_order=1), d)
-    j = ds.labels_g().index("x1*u")
-    assert ds.theta_g[0, j] == 10.0
-    assert ds.theta_g[0, ds.labels_g().index("u")] == 5.0
+    theta_g = ds.theta[:, ds.p_x :]
+    assert theta_g[0, ds.labels_g().index("x1*u")] == 10.0
+    assert theta_g[0, ds.labels_g().index("u")] == 5.0
 
 
 def input_library_oracle(ds, d):
@@ -144,10 +144,10 @@ def test_matrices_match_symbolic_evaluation_exactly():
     ds = build_dictionaries(LibrarySpec(poly_order=5, trig_orders=(1, 2)), d)
     for i in range(d.m):
         for j, e in enumerate(ds.theta_f_entries):
-            assert ds.theta_f[i, j] == e.evaluate(d.X[i])
+            assert ds.theta[i, j] == e.evaluate(d.X[i])
         for j, e in enumerate(ds.phi_entries):
             assert ds.phi[i, j] == e.evaluate(d.X[i])
-    assert np.array_equal(ds.theta_g, input_library_oracle(ds, d))
+    assert np.array_equal(ds.theta[:, ds.p_x :], input_library_oracle(ds, d))
 
 
 @pytest.mark.filterwarnings("ignore:only .* samples")
@@ -158,9 +158,10 @@ def test_input_library_keeps_signed_zeros_positive():
     d = dataset_from_states(X, U=[-1.5, -0.5, 0.0, -0.0])
     spec = LibrarySpec(poly_order=3, trig_orders=(1,), cross_trig=True)
     ds = build_dictionaries(spec, d)
-    bits = ds.theta_g.view(np.uint64)
+    theta_g = ds.theta[:, ds.p_x :]
+    bits = theta_g.view(np.uint64)
     assert np.array_equal(bits, input_library_oracle(ds, d).view(np.uint64))
-    assert not np.signbit(ds.theta_g[ds.theta_g == 0.0]).any()
+    assert not np.signbit(theta_g[theta_g == 0.0]).any()
     assert ds.p_u == ds.p_x and ds.labels_g()[:3] == ["u", "x1*u", "x2*u"]
 
 
