@@ -159,8 +159,27 @@ class DictionarySet:
         return [str(e) for e in self.phi_entries]
 
 
+def _overflows(entry: Expression, X: np.ndarray) -> bool:
+    try:
+        evaluate_columns([entry], X)
+    except OverflowError:
+        return True
+    return False
+
+
+def _overflow_error(label: str, d: Dataset) -> ValueError:
+    return ValueError(
+        f"library entry {label} overflows a float on this data (largest |state| "
+        f"{np.max(np.abs(d.X)):.3g}, largest |u| {np.max(np.abs(d.U)):.3g})"
+    )
+
+
 def build_dictionaries(spec: LibrarySpec, d: Dataset) -> DictionarySet:
-    """Construct the drift/input/output libraries and evaluate them on ``d``."""
+    """Construct the drift/input/output libraries and evaluate them on ``d``.
+
+    An entry whose power, or whose product with u, overflows a float at
+    some sample raises :class:`ValueError` naming it.
+    """
     n = d.n
     if spec.output_state_index >= n:
         raise ValueError(
@@ -181,12 +200,20 @@ def build_dictionaries(spec: LibrarySpec, d: Dataset) -> DictionarySet:
             stacklevel=2,
         )
 
-    # one call, so the drift and output libraries share their atom columns
-    values = evaluate_columns(f_entries + phi_entries, d.X)
+    entries = f_entries + phi_entries
+    try:  # one call, so the drift and output libraries share their atom columns
+        values = evaluate_columns(entries, d.X)
+    except OverflowError:
+        raise _overflow_error(str(next(e for e in entries if _overflows(e, d.X))), d) from None
     theta = np.empty((d.m, 2 * p_x))
     theta[:, :p_x] = values[:, :p_x]
+    try:  # numpy writes every product before it raises
+        with np.errstate(over="raise"):
+            np.multiply(values[:, :p_x], d.U[:, None], out=theta[:, p_x:])
+    except FloatingPointError:
+        j = np.flatnonzero(~np.isfinite(theta[:, p_x:]).all(axis=0))[0]
+        raise _overflow_error(f"{f_entries[j]}*u", d) from None
     # 0.0 + v, as evaluate_columns sums from zero: a -0.0 product becomes +0.0
-    np.multiply(values[:, :p_x], d.U[:, None], out=theta[:, p_x:])
     theta[:, p_x:] += 0.0
     phi = values[:, p_x:].copy()
     theta.setflags(write=False)

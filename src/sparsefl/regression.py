@@ -164,40 +164,32 @@ def _null_space(C: np.ndarray) -> np.ndarray:
     return vt[rank:].T
 
 
-def _lstsq(A: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return np.linalg.lstsq(A, z, rcond=None)[0]
+def _constrained_solve(
+    A: np.ndarray, z: np.ndarray, C: np.ndarray | None, rows: int = 0
+) -> np.ndarray:
+    """min ||A w - z|| subject to C w = 0, by elimination on the null space of C.
 
-
-def _constrained_solve(A: np.ndarray, z: np.ndarray, C: np.ndarray | None) -> np.ndarray:
-    """min ||A w - z|| subject to C w = 0, by elimination on the null space of C."""
-    if C is None or C.shape[0] == 0:
-        return _lstsq(A, z)
-    N = _null_space(C)
-    if N.shape[1] == 0:
+    The least squares drops singular values below eps * max(rows, its
+    design's shape) times the largest: numpy's cutoff when ``rows`` is 0.
+    """
+    N = None if C is None or C.shape[0] == 0 else _null_space(C)
+    if N is not None and N.shape[1] == 0:
         return np.zeros(A.shape[1])
-    return N @ _lstsq(A @ N, z)
+    B = A if N is None else A @ N
+    w = np.linalg.lstsq(B, z, rcond=np.finfo(float).eps * max(rows, *B.shape))[0]
+    return w if N is None else N @ w
 
 
 def _block_columns(A: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Columns ``active`` of blockdiag(A, ..., A).
-
-    Bits and memory order are those of the Kronecker product eye(k) x A, so
-    BLAS and LAPACK see the same input: 0.0 * A (signed zeros) off the
-    diagonal; C order if all columns are active, else a gather's Fortran order.
-    """
+    """Columns ``active`` of blockdiag(A, ..., A), one block of A per A.shape[1] flags."""
     m, p = A.shape
-    k = active.size // p
-    cols = slice(None) if active.all() else active
-    if k == 1:
-        return A[:, cols]
-    out = np.empty((k * m, np.count_nonzero(active)), order="C" if active.all() else "F")
+    act = active.reshape(-1, p)
+    out = np.zeros((len(act) * m, np.count_nonzero(active)))
     start = 0
-    for j, act in enumerate(active.reshape(k, p)):
-        a, span = A[:, act], slice(start, start + np.count_nonzero(act))
-        for i in range(k):
-            block = out[i * m : (i + 1) * m, span]
-            np.multiply(float(i == j), a, out=block)
-        start = span.stop
+    for i, a in enumerate(act):
+        stop = start + np.count_nonzero(a)
+        out[i * m : (i + 1) * m, start:stop] = A[:, a]
+        start = stop
     return out
 
 
@@ -205,30 +197,24 @@ def _block_columns(A: np.ndarray, active: np.ndarray) -> np.ndarray:
 class _Factor:
     """QR of a design with right-hand sides: [A | Z] = Q [[r, qtz], [0, T]].
 
-    ``out[j]`` = |T[:, j]|^2, the part of Z[:, j] outside range(A); ``norms[j]`` = |r[:, j]|^2.
-    No column subset, projection A_S N (N orthonormal) or block diagonal of
-    A has a singular value below smin, the least of r's.
+    Least squares on A's columns against Z's is least squares on r's columns
+    against qtz's: the rows of T only add a constant to the residual.
     """
 
     r: np.ndarray
     qtz: np.ndarray
-    out: np.ndarray
-    norms: np.ndarray
-    smin: float
 
 
-def _factor(A: np.ndarray, Z: np.ndarray) -> _Factor | None:
-    """The :class:`_Factor` of ``A`` against ``Z``'s columns; None when it cannot screen.
+def _factor(A: np.ndarray, Z: np.ndarray) -> _Factor:
+    """The :class:`_Factor` of ``A`` against ``Z``'s columns.
 
-    It cannot when the bound of _stls fails for A's largest column alone,
-    and so for every sweep that keeps it. R is built 512 rows at a time, as
-    the R of [R; next rows] written into one buffer: one QR of all
-    m x (p + n) entries read 6.6 MB more ``peak_rss_mb`` in the benchmark at
-    m = 5000, p + n = 60.
+    R is built 512 rows at a time, as the R of [R; next rows] written into
+    one buffer: one QR of all m x (p + n) entries read 6.6 MB more
+    ``peak_rss_mb`` in the benchmark at m = 5000, p + n = 60. With fewer
+    than p + n rows, R has m rows. A non-finite R raises
+    :class:`RegressionError`.
     """
     (m, p), n = A.shape, Z.shape[1]
-    if m < p + n:
-        return None
     stack, k = np.empty((p + n + 512, p + n)), 0  # [R; next rows], R in the top k rows
     for i in range(0, m, 512):
         rows = stack[k : k + min(512, m - i)]
@@ -238,20 +224,18 @@ def _factor(A: np.ndarray, Z: np.ndarray) -> _Factor | None:
         k = len(R)
         stack[:k] = R
     if not np.all(np.isfinite(R)):
-        return None
-    smin, norms = np.linalg.svd(R[:p, :p], compute_uv=False)[-1], np.sum(R[:p, :p] ** 2, axis=0)
-    if m * np.finfo(float).eps / 2 * math.sqrt(norms.max()) >= 0.5 * smin:
-        return None
-    return _Factor(R[:p, :p], R[:p, p:], np.sum(R[p:, p:] ** 2, axis=0), norms, float(smin))
+        raise RegressionError(
+            f"the QR factor of the {m} x {p} library design is not finite; rescale the data"
+        )
+    return _Factor(R[:p, :p], R[:p, p:])
 
 
 def _stls(
-    A: np.ndarray,
+    factor: _Factor,
     z: np.ndarray,
     lam: float,
     constraint: np.ndarray | None = None,
     what: str = "coefficients",
-    factor: _Factor | None = None,
 ) -> tuple[np.ndarray, int]:
     """Sequential thresholded least squares with optional equality constraint.
 
@@ -263,51 +247,25 @@ def _stls(
     drops at least one of the k * p columns and the loop ends within k * p
     sweeps.
 
-    ``factor``, the :class:`_Factor` of A against ``z``'s columns, lets a
-    sweep that drops columns be decided on p rows when the bound below
-    vouches for it; every other sweep solves on the m-row design.
+    Every sweep solves on ``factor``, the :class:`_Factor` of A against
+    ``z``'s columns, which Householder QR makes a backward-stable least
+    squares (Higham 2002, Thm 20.3). Its rank cutoff is numpy's for the
+    m-row design, eps * max(k * m, columns): R has only p rows, and numpy's
+    cutoff for them would keep directions the m-row solve drops. ``z``
+    itself decides only whether the right-hand side is zero.
     """
-    m, p = A.shape
-    Z = z.reshape(m, -1)
-    k = Z.shape[1]
-    rhs = Z.T.reshape(-1)
-    if factor is not None:
-        qtz, out, norms = factor.qtz.T.reshape(-1), float(np.sum(factor.out)), np.tile(factor.norms, k)
+    Z = z.reshape(len(z), -1)
+    k, p = Z.shape[1], factor.r.shape[1]
+    qtz = factor.qtz.T.reshape(-1)
     active = np.ones(k * p, dtype=bool)
-
-    def thresholded(x):
-        w = np.zeros(k * p)
-        w[active] = x
-        return threshold_pass(w, lam)
-
     for sweep in count(1):
         C = None if constraint is None else constraint[:, active]
-        w = None
-        # Householder least squares is exact for a design whose column j moved
-        # by gamma = c * rows * cols * u of its norm (Higham 2002, Thms 19.4,
-        # 20.3; c = 1 is an assumption the differential tests bear out, not a
-        # certificate), so |dA|_2 <= gamma |A_S|_F for both solves. With
-        # t = gamma |A_S|_F / smin < 1/2, Thm 20.1 puts both within delta of the
-        # exact solution: |w_j| clearing lam by 2 delta thresholds alike.
-        if factor is not None:
-            gamma = k * m * np.count_nonzero(active) * np.finfo(float).eps / 2
-            t = gamma / (1 - gamma) * math.sqrt(float(np.sum(norms[active]))) / factor.smin
-            if t < 0.5:
-                Rs = _block_columns(factor.r, active)
-                x = _constrained_solve(Rs, qtz, C)
-                rho = math.sqrt(out + float(np.sum((Rs @ x - qtz) ** 2)))
-                delta = 2 * t / (1 - t) * (float(np.linalg.norm(x)) + rho / factor.smin)
-                w = thresholded(x)
-                clear = np.abs(np.abs(x) - lam) > 2 * delta
-                if not clear.all():  # screen no later sweep: one failing p-row solve per call
-                    w, factor = None, None
-                elif not w.any() or np.array_equal(w != 0.0, active):
-                    w = None
-        if w is None:
-            w = thresholded(_constrained_solve(_block_columns(A, active), rhs, C))
+        w = np.zeros(k * p)
+        w[active] = _constrained_solve(_block_columns(factor.r, active), qtz, C, Z.size)
+        w = threshold_pass(w, lam)
         kept = w != 0.0
         if not kept.any():
-            if np.max(np.abs(rhs), initial=0.0) <= 1e-12:
+            if np.max(np.abs(Z), initial=0.0) <= 1e-12:
                 return np.zeros(k * p), sweep
             raise InfeasibleSparsityError(
                 f"threshold {lam} removed every candidate for {what}; lower lambda"
@@ -463,21 +421,21 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     # one QR per design serves every sweep of every state and step
     theta_qr, phi_qr = _factor(theta, d.Xdot), _factor(ds.phi, d.Y[:, None])
 
-    def stls(a, z, constraint, what, factor):
+    def stls(factor, z, constraint, what):
         nonlocal sweeps
-        w, k = _stls(a, z, cfg.lam, constraint, what, factor)
+        w, k = _stls(factor, z, cfg.lam, constraint, what)
         sweeps += k
         return w
 
     def states_stls(W, states, constraint):
         """STLS of the given states' equations as one block-diagonal system into W[:, states]."""
-        factor = theta_qr and replace(theta_qr, qtz=theta_qr.qtz[:, states], out=theta_qr.out[states])
+        factor = replace(theta_qr, qtz=theta_qr.qtz[:, states])
         what = "state equation " + ", ".join(f"dx{j + 1}/dt" for j in states)
-        w = stls(theta, d.Xdot[:, states], constraint, what, factor)
+        w = stls(factor, d.Xdot[:, states], constraint, what)
         W[:, states] = w.reshape(len(states), -1).T
 
     # unconstrained initialization
-    zeta = stls(ds.phi, d.Y, None, "the output equation", phi_qr)
+    zeta = stls(phi_qr, d.Y, None, "the output equation")
     W_init = np.empty((theta.shape[1], n))
     for l in range(n):
         states_stls(W_init, [l], None)
@@ -495,7 +453,7 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
             if states:
                 states_stls(W, states, C)
             C = gc.zeta_rows(W[:p_x], W[p_x:])
-            zeta = stls(ds.phi, d.Y, C, "the output equation", phi_qr)
+            zeta = stls(phi_qr, d.Y, C, "the output equation")
             if max(np.max(np.abs(W - W_prev)), np.max(np.abs(zeta - zeta_prev))) < ALT_TOL:
                 break
         else:

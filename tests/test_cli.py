@@ -262,6 +262,28 @@ def test_identify_emptied_input_channel_fails_with_code_three(tmp_path, capsys):
     assert not (tmp_path / "model.json").exists()
 
 
+@pytest.mark.parametrize(
+    "x1, library, entry",
+    [("1e110", {}, "x1^3"), ("1.5e308", {"poly_order": 1, "output_poly_order": 1}, "x1*u")],
+    ids=["power", "input-column"],
+)
+def test_identify_overflowing_library_entry_is_config_error(
+    tmp_path, dataset_path, capsys, x1, library, entry
+):
+    # one sample of x1 puts a library column beyond the float range (|u| is
+    # about 1.67 there), which is unusable input (exit 2), not a crash or a
+    # failed identification; no model is written
+    rows = list(csv.reader(dataset_path.read_text().splitlines()))
+    rows[5][rows[0].index("x1")] = x1
+    data = tmp_path / "overflow.csv"
+    data.write_text("\n".join(",".join(row) for row in rows) + "\n", encoding="utf-8")
+    cfg = write_config(tmp_path, {"library": library})
+    code = run(["identify", "--data", data, "--config", cfg, "--out", tmp_path])
+    assert code == EXIT_CONFIG
+    assert f"library entry {entry} overflows a float" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_identify_estimates_missing_derivatives(tmp_path, dataset_path):
     # strip the xdot columns and check the report mentions estimation
     rows = dataset_path.read_text().splitlines()

@@ -140,6 +140,22 @@ def test_relative_degree_perturbed_model_tolerance():
     assert relative_degree(perturbed, tol=1e-6).relative_degree == 2
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the zero test is structural: sin(x1)^2 + cos(x1)^2 - 1 is not found to be zero "
+    "(ROADMAP item 3)",
+)
+def test_trig_identity_is_not_a_nonzero_beta():
+    # Lg Lf c = sin(x1)*sin(x1) + cos(x1)*cos(x1) - 1 vanishes everywhere, so
+    # r is not 2; the structural zero test returns r = 2 with that beta
+    n = 4
+    f = tuple(parse_expression(e, n) for e in ("sin(x1)*x2 + cos(x1)*x3 - x4", "x3", "x4", "-x1"))
+    g = tuple(parse_expression(e, n) for e in ("0", "sin(x1)", "cos(x1)", "1"))
+    chain = relative_degree(ControlAffineSystem(f=f, g=g, c=parse_expression("x1", n), n=n))
+    assert chain.relative_degree != 2
+
+
 # -- normal form ---------------------------------------------------------------------------
 
 
