@@ -125,6 +125,10 @@ class ControllerSpec:
         r = self.relative_degree
         if len(self.gains) != r or len(self.lf_chain) != r:
             raise ValueError("gains and Lie chain must both have length r")
+        if r != self.n_states:  # as synthesize requires: no internal dynamics
+            raise RelativeDegreeError(
+                f"relative degree {r} differs from the state dimension {self.n_states}"
+            )
         if self.beta.is_zero(_BETA_RUNTIME_TOL):
             raise RelativeDegreeError("decoupling term is zero; the law is singular")
 
@@ -196,6 +200,10 @@ class ControllerSpec:
     def from_dict(payload: dict) -> "ControllerSpec":
         n_states = integer(payload["n_states"], "n_states")
         poles = payload.get("poles")
+        if not isinstance(payload["lf_chain"], list):
+            raise ValueError(
+                f"lf_chain must be a list of expression strings, got {payload['lf_chain']!r}"
+            )
         return ControllerSpec(
             relative_degree=integer(payload["relative_degree"], "relative_degree"),
             alpha=parse_expression(payload["alpha"], n_states),

@@ -67,7 +67,10 @@ class Dataset:
         if np.any(diffs <= 0):
             raise DatasetError("non-increasing times")
         dt = float(np.median(diffs))
-        if np.any(np.abs(diffs - dt) > _UNIFORM_REL_TOL * dt):
+        # two ulps of the largest |t|: each difference of an offset grid
+        # (such as Unix times) carries the rounding of the times themselves
+        tol = _UNIFORM_REL_TOL * dt + 2 * np.spacing(np.max(np.abs(times)))
+        if np.any(np.abs(diffs - dt) > tol):
             raise DatasetError("non-uniform time grid")
 
         object.__setattr__(self, "times", times)

@@ -56,8 +56,11 @@ class LieChain:
         return self.lf_powers[0].n_states
 
 
-def relative_degree(sys: ControlAffineSystem, tol: float = DEFAULT_ZERO_TOL) -> LieChain:
+def relative_degree(sys: ControlAffineSystem) -> LieChain:
     """Find the smallest r <= n with Lg Lf^(r-1) c nonzero.
+
+    A derivative is zero when every coefficient is at most ``DEFAULT_ZERO_TOL``
+    in magnitude.
 
     Returns the populated chain; ``relative_degree`` is None when
     Lg Lf^k c vanishes for every k < n.
@@ -68,7 +71,7 @@ def relative_degree(sys: ControlAffineSystem, tol: float = DEFAULT_ZERO_TOL) -> 
     for k in range(sys.n):
         lg_k = lie_derivative(lf_powers[k], sys.g)
         lg_mixed.append(lg_k)
-        if not lg_k.is_zero(tol):
+        if not lg_k.is_zero(DEFAULT_ZERO_TOL):
             r = k + 1
             break
         lf_powers.append(lie_derivative(lf_powers[k], sys.f))

@@ -603,6 +603,9 @@ def model_to_dict(model: SparseModel) -> dict:
 def system_from_dict(payload: dict) -> ControlAffineSystem:
     """The identified plant of a :func:`model_to_dict` payload."""
     n = integer(payload["n_states"], "n_states")
+    for key in ("f", "g"):
+        if not isinstance(payload[key], list):
+            raise ValueError(f"{key} must be a list of expression strings, got {payload[key]!r}")
     return ControlAffineSystem(
         f=tuple(parse_expression(s, n) for s in payload["f"]),
         g=tuple(parse_expression(s, n) for s in payload["g"]),

@@ -22,6 +22,10 @@ reported as zero by :meth:`Expression.is_zero`.
 Products of trig factors are kept as products of atoms; no product-to-sum
 rewriting is performed.
 
+:func:`format_expression` prints an expression as text, and
+:func:`parse_expression` reads that text back; its docstring states the
+grammar it accepts.
+
 :func:`evaluate_columns` evaluates many expressions on many samples at once
 and returns exactly the numbers that per-sample :meth:`Expression.evaluate`
 calls return, bit for bit (see its docstring for what that rests on).
@@ -419,165 +423,78 @@ def format_terms(
 
 # -- parsing ------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*^()]))"
+# One factor and the separator after it. A factor is sin/cos(j*xN), or a
+# numeric literal or a state xN, either with an optional ^k.
+_FACTOR_RE = re.compile(
+    r"\s*(?:(?P<trig>sin|cos)\s*\(\s*(?:(?P<freq>\d+)\s*\*\s*)?x(?P<arg>[0-9]+)\s*\)"
+    r"|(?:(?P<literal>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|x(?P<state>[0-9]+))"
+    r"(?:\s*\^\s*(?P<power>\d+))?)"
+    r"\s*(?P<sep>[-+*]?)"
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"unexpected character {text[pos]!r} at position {pos}")
-        pos = m.end()
-        for kind in ("number", "name", "op"):
-            value = m.group(kind)
-            if value is not None:
-                tokens.append((kind, value))
-                break
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        tok = self.next()
-        if tok != ("op", op):
-            raise ValueError(f"expected {op!r}, got {tok[1]!r}")
-
-    def parse_int(self) -> int:
-        kind, value = self.next()
-        if kind != "number" or not re.fullmatch(r"\d+", value):
-            raise ValueError(f"expected an integer, got {value!r}")
-        return int(value)
-
-    def parse_exponent(self) -> int:
-        tok = self.peek()
-        if tok == ("op", "^"):
-            self.next()
-            return self.parse_int()
-        return 1
-
-    def parse_var_index(self, name: str) -> int:
-        m = re.fullmatch(r"x(\d+)", name)
-        if m is None or int(m.group(1)) < 1:
-            raise ValueError(f"unknown symbol {name!r}")
-        return int(m.group(1)) - 1
-
-
-class _RawTerm:
-    __slots__ = ("coefficient", "powers", "atoms")
-
-    def __init__(self) -> None:
-        self.coefficient = 1.0
-        self.powers: dict[int, int] = {}
-        self.atoms: list[TrigAtom] = []
-
-
-def _parse_term(parser: _Parser, sign: float) -> _RawTerm:
-    raw = _RawTerm()
-    raw.coefficient = sign
-    while True:
-        kind, value = parser.next()
-        if kind == "number":
-            exp = parser.parse_exponent()
-            raw.coefficient *= float(value) ** exp
-        elif kind == "name":
-            if value in _TRIG_KINDS:
-                parser.expect_op("(")
-                tok = parser.peek()
-                freq = 1
-                if tok is not None and tok[0] == "number":
-                    freq = parser.parse_int()
-                    parser.expect_op("*")
-                name_tok = parser.next()
-                if name_tok[0] != "name":
-                    raise ValueError(f"expected a state variable inside {value}(...)")
-                var = parser.parse_var_index(name_tok[1])
-                parser.expect_op(")")
-                raw.atoms.append((value, freq, var))
-            else:
-                var = parser.parse_var_index(value)
-                raw.powers[var] = raw.powers.get(var, 0) + parser.parse_exponent()
-        else:
-            raise ValueError(f"unexpected token {value!r}")
-        tok = parser.peek()
-        if tok == ("op", "*"):
-            parser.next()
-            continue
-        return raw
+def _factor_error(text: str, pos: int) -> ValueError:
+    rest = text[pos:].lstrip()
+    if not rest:
+        return ValueError("unexpected end of expression")
+    symbol = re.match(r"[A-Za-z_]\w*", rest)
+    if symbol and symbol[0] not in _TRIG_KINDS:
+        return ValueError(f"unknown symbol {symbol[0]!r}")
+    return ValueError(f"malformed factor at position {len(text) - len(rest)}: {rest!r}")
 
 
 def parse_expression(text: str, n_states: int | None = None) -> Expression:
     """Parse the text grammar produced by :func:`format_expression`.
 
-    Terms are joined by ``+``/``-``; factors are ``xN``, ``xN^k``,
-    ``sin(j*xN)``, ``cos(j*xN)`` and numeric literals,
-    joined by ``*``. If ``n_states`` is omitted it is inferred from the
-    largest state index present.
+    The text is an optional leading ``+`` or ``-`` and terms joined by ``+``
+    or ``-``; a term is factors joined by ``*``. A factor is a numeric
+    literal (``2``, ``1.5``, ``.5``, ``1e-3``), a state ``xN`` (N >= 1, read
+    as a decimal number, so ``x01`` is x1), either with an optional
+    ``^k``, or ``sin(xN)``, ``cos(xN)``, ``sin(j*xN)`` or ``cos(j*xN)``
+    with j >= 1. k and j are digit strings. Whitespace may surround any
+    token. Anything else raises :class:`ValueError`, and so do a state
+    beyond ``n_states`` and a term coefficient that is not a finite float;
+    a non-string raises :class:`TypeError`. If ``n_states`` is omitted it
+    is the largest state index present.
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    if not isinstance(text, str):
+        raise TypeError(f"an expression must be a string, got {type(text).__name__}")
+    text = text.lstrip()
+    if not text:
         raise ValueError("empty expression")
-    parser = _Parser(tokens)
-    raws: list[_RawTerm] = []
-    sign = 1.0
-    tok = parser.peek()
-    if tok == ("op", "-"):
-        parser.next()
-        sign = -1.0
-    elif tok == ("op", "+"):
-        parser.next()
-    while True:
-        raws.append(_parse_term(parser, sign))
-        tok = parser.peek()
-        if tok is None:
-            break
-        if tok == ("op", "+"):
-            sign = 1.0
-        elif tok == ("op", "-"):
-            sign = -1.0
-        else:
-            raise ValueError(f"unexpected token {tok[1]!r} after term")
-        parser.next()
+    n = n_states
+    if n is None:
+        n = max((int(i) for i in re.findall(r"x([0-9]+)", text)), default=0)
 
-    max_index = -1
-    for raw in raws:
-        if raw.powers:
-            max_index = max(max_index, max(raw.powers))
-        for _, _, var in raw.atoms:
-            max_index = max(max_index, var)
-    inferred = max_index + 1
-    if n_states is None:
-        n_states = inferred
-    elif inferred > n_states:
-        raise ValueError(
-            f"expression references x{max_index + 1} but n_states={n_states}"
-        )
+    def state(index: str) -> int:
+        i = int(index) - 1
+        if i < 0:
+            raise ValueError(f"unknown symbol 'x{index}'")
+        if i >= n:
+            raise ValueError(f"expression references x{i + 1} but n_states={n}")
+        return i
 
-    terms = []
-    for raw in raws:
-        exps = [0] * n_states
-        for var, p in raw.powers.items():
-            exps[var] = p
-        terms.append(Term(raw.coefficient, tuple(exps), tuple(raw.atoms)))
-    return Expression(tuple(terms), n_states)
+    terms: list[Term] = []
+    sep, pos = (text[0], 1) if text[0] in "+-" else ("+", 0)
+    while sep:  # one term per pass; sep is its sign
+        coefficient, exps, atoms = -1.0 if sep == "-" else 1.0, [0] * n, []
+        while True:
+            m = _FACTOR_RE.match(text, pos)
+            if m is None:
+                raise _factor_error(text, pos)
+            if m["trig"]:
+                atoms.append((m["trig"], int(m["freq"] or 1), state(m["arg"])))
+            elif m["state"]:
+                exps[state(m["state"])] += int(m["power"] or 1)
+            else:
+                try:
+                    coefficient *= float(m["literal"]) ** int(m["power"] or 1)
+                except OverflowError:
+                    raise ValueError(f"literal {m['literal']}^{m['power']} overflows") from None
+            pos, sep = m.end(), m["sep"]
+            if sep != "*":
+                break
+        terms.append(Term(coefficient, tuple(exps), tuple(atoms)))
+    if pos < len(text):
+        raise ValueError(f"expected '*', '+', '-' or the end at position {pos}: {text[pos:]!r}")
+    return Expression(tuple(terms), n)

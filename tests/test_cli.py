@@ -197,10 +197,11 @@ def test_closedloop_non_finite_gain_is_corrupted_input(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("relative_degree", 2.7), ("gains", ["5", "4"]), ("n_states", True)]
+    "key, value",
+    [("relative_degree", 2.7), ("gains", ["5", "4"]), ("n_states", True), ("lf_chain", "12")],
 )
 def test_closedloop_wrong_json_type_is_corrupted_input(tmp_path, key, value, capsys):
-    # each used to be read as a number (2.7 as degree 2) and exit 0
+    # each used to be read and exit 0: 2.7 as degree 2, "12" as the chain (1, 2)
     spec = synthesize(relative_degree(vdp_system(1, 1, 1)), gains=[5.0, 4.0]).to_dict()
     spec[key] = value
     bad = tmp_path / "controller.json"
@@ -208,6 +209,31 @@ def test_closedloop_wrong_json_type_is_corrupted_input(tmp_path, key, value, cap
     out = tmp_path / "run"
     assert run(["closedloop", "--controller", bad, "--out", out]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
+    assert not any(out.rglob("*"))
+
+
+@pytest.mark.parametrize("key, value", [("alpha", ["x1"]), ("beta", 1)])
+def test_closedloop_non_string_expression_is_corrupted_input(tmp_path, key, value, capsys):
+    spec = synthesize(relative_degree(vdp_system(1, 1, 1)), gains=[5.0, 4.0]).to_dict()
+    spec[key] = value
+    bad = tmp_path / "controller.json"
+    bad.write_text(json.dumps(spec))
+    out = tmp_path / "run"
+    assert run(["closedloop", "--controller", bad, "--out", out]) == EXIT_CONFIG
+    assert "controller stage input" in capsys.readouterr().err
+    assert not any(out.rglob("*"))
+
+
+def test_closedloop_lower_relative_degree_is_corrupted_input(tmp_path, capsys):
+    # r = 1 < n = 2 leaves x2 as uncontrolled internal dynamics (3.38 at
+    # t = 10); synthesize refuses such a law, and closedloop used to run it
+    spec = synthesize(relative_degree(vdp_system(1, 1, 1)), gains=[5.0, 4.0]).to_dict()
+    spec.update(relative_degree=1, alpha="x2", beta="1", lf_chain=["x1"], gains=[5.0])
+    bad = tmp_path / "controller.json"
+    bad.write_text(json.dumps(spec))
+    out = tmp_path / "run"
+    assert run(["closedloop", "--controller", bad, "--out", out]) == EXIT_CONFIG
+    assert "relative degree 1 differs from the state dimension 2" in capsys.readouterr().err
     assert not any(out.rglob("*"))
 
 
@@ -367,6 +393,27 @@ def test_lie_model_with_input_in_f_is_config_error(tmp_path, model_path, capsys)
     bad.write_text(json.dumps(payload))
     assert run(["lie", "--model", bad, "--out", tmp_path / "run"]) == EXIT_CONFIG
     assert "unknown symbol 'u'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("f", "12"), ("g", "10"), ("f", {"x1": "x2"}), ("c", ["x1"]), ("c", 1)],
+    ids=["f-string", "g-string", "f-object", "c-list", "c-number"],
+)
+def test_lie_wrong_json_type_expression_is_config_error(tmp_path, model_path, key, value, capsys):
+    # a string where a list belongs was read one character per entry:
+    # "f": "12" was f = (1, 2), and lie exited with an undefined relative degree
+    payload = json.loads(model_path.read_text())
+    payload[key] = value
+    bad = tmp_path / "wrong_type.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "run"
+    assert run(["lie", "--model", bad, "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "model stage input" in err and "corrupted" in err
+    if key != "c":
+        assert f"{key} must be a list of expression strings" in err
+    assert not out.exists() or not any(out.rglob("*"))
 
 
 def test_lie_fractional_state_count_is_config_error(tmp_path, model_path, capsys):

@@ -168,6 +168,20 @@ def test_law_hand_value_sine_reference(exact_chain):
     assert spec.control_value([0.0, 0.0], ref, 0.0) == pytest.approx(4.0)
 
 
+def test_spec_requires_full_relative_degree():
+    # r < n leaves internal dynamics the law does not control; synthesize
+    # refuses such a chain, and so must a spec read back from a file
+    x1 = Expression.variable(0, 2)
+    with pytest.raises(RelativeDegreeError, match="relative degree 1"):
+        ControllerSpec(
+            relative_degree=1,
+            alpha=Expression.variable(1, 2),
+            beta=Expression.constant(1.0, 2),
+            lf_chain=(x1,),
+            gains=(5.0,),
+        )
+
+
 def test_law_singularity_guard():
     # state-dependent decoupling term beta = x1 vanishes at the origin
     n = 1

@@ -38,6 +38,24 @@ def test_rejects_non_uniform_grid():
         Dataset(times, np.zeros((4, 2)), np.zeros(4), np.zeros(4))
 
 
+@pytest.mark.parametrize("t0", [1e5, 1.7e9])  # 1.7e9: a Unix time
+@pytest.mark.parametrize("rounded", [False, True], ids=["computed", "rounded"])
+def test_accepts_uniform_grid_with_offset(t0, rounded):
+    # the float spacing of t (1.5e-11 at 1e5, 2.4e-7 at 1.7e9) used to exceed
+    # the tolerance 1e-9 * dt, and these grids were rejected as non-uniform
+    times = t0 + 0.01 * np.arange(100)
+    if rounded:
+        times = np.round(times, 2)
+    d = Dataset(times, np.zeros((100, 2)), np.zeros(100), np.zeros(100))
+    assert d.dt == pytest.approx(0.01, abs=1e-6)
+
+
+def test_rejects_offset_grid_with_a_dropped_sample():
+    times = np.delete(1.7e9 + 0.01 * np.arange(100), 50)
+    with pytest.raises(DatasetError, match="non-uniform"):
+        Dataset(times, np.zeros((99, 2)), np.zeros(99), np.zeros(99))
+
+
 def test_rejects_non_finite():
     X = np.zeros((3, 2))
     X[1, 1] = np.nan

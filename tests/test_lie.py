@@ -137,7 +137,7 @@ def test_relative_degree_perturbed_model_tolerance():
     sys = vdp_system(1, 1, 1)
     f2 = sys.f[1] + 0.03 * Expression.variable(1, 2)
     perturbed = ControlAffineSystem(f=(sys.f[0], f2), g=sys.g, c=sys.c, n=2)
-    assert relative_degree(perturbed, tol=1e-6).relative_degree == 2
+    assert relative_degree(perturbed).relative_degree == 2
 
 
 @pytest.mark.xfail(

@@ -211,6 +211,67 @@ def test_parse_infers_dimension():
     assert e.n_states == 3
 
 
+@pytest.mark.parametrize(
+    "text, printed, n_states",
+    [
+        (" x1 * x2 ", "x1*x2", 2),
+        ("+x1", "x1", 1),
+        ("sin( 2 * x1 )", "sin(2*x1)", 1),
+        ("2^3*x1", "8*x1", 1),
+        ("x1^0", "1", 1),  # a zero power still counts its state
+        ("x01", "x1", 1),  # the index is read as a decimal number
+    ],
+)
+def test_parse_accepts(text, printed, n_states):
+    e = parse_expression(text)
+    assert (format_expression(e), e.n_states) == (printed, n_states)
+    assert parse_expression(text, 3) == parse_expression(printed, 3)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x1 +",
+        "x1--x2",  # a sign only leads the expression or joins terms
+        "sin(x1)^2",  # powers only on literals and states
+        "x1.5",
+        "x0",
+        "X1",
+        "x1x2",
+        "sin(2.5*x1)",
+        "sin(0*x1)",
+        "1e400*x1",
+    ],
+)
+def test_parse_rejects(text):
+    with pytest.raises(ValueError):
+        parse_expression(text, 3)
+
+
+def test_parse_literal_power_overflow_names_the_literal():
+    with pytest.raises(ValueError, match=r"9\^999"):
+        parse_expression("9^999*x1", 2)
+
+
+@pytest.mark.parametrize("value", [["x1"], 1, None, b"x1"])
+def test_parse_rejects_non_string(value):
+    with pytest.raises(TypeError):
+        parse_expression(value, 2)
+
+
+_GRAMMAR_PIECES = [*"0123456789", "x", "sin(", "cos(", *"()^*+-.e", " ", "\t"]
+
+
+@given(st.lists(st.sampled_from(_GRAMMAR_PIECES), max_size=24).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_parse_returns_expression_or_value_error(text):
+    try:
+        e = parse_expression(text, 3)
+    except ValueError:
+        return
+    assert parse_expression(format_expression(e), 3) == e
+
+
 # -- properties -------------------------------------------------------------------
 
 
