@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .dictionary import integer, real
-from .lie import LieChain, RelativeDegreeError
+from .lie import DEFAULT_ZERO_TOL, LieChain, RelativeDegreeError
 from .symexpr import Expression, format_expression, parse_expression
 
 __all__ = [
@@ -129,7 +129,7 @@ class ControllerSpec:
             raise RelativeDegreeError(
                 f"relative degree {r} differs from the state dimension {self.n_states}"
             )
-        if self.beta.is_zero(_BETA_RUNTIME_TOL):
+        if self.beta.is_zero(DEFAULT_ZERO_TOL):  # the zero of lie.relative_degree
             raise RelativeDegreeError("decoupling term is zero; the law is singular")
 
     @property
@@ -144,13 +144,13 @@ class ControllerSpec:
             v += self.gains[i] * (reference.derivative(t, i) - self.lf_chain[i].evaluate(x))
         b = self.beta.evaluate(x)
         if abs(b) < _BETA_RUNTIME_TOL:
-            raise ControlSingularityError(
-                f"decoupling term {format_expression(self.beta, digits=4)} vanished at x={list(x)}"
-            )
-        u = (-self.alpha.evaluate(x) + v) / b
-        if not math.isfinite(u):
-            raise ControlSingularityError(f"control law produced non-finite value at x={list(x)}")
-        return u
+            what = f"decoupling term {format_expression(self.beta, digits=4)} vanished"
+        else:
+            u = (-self.alpha.evaluate(x) + v) / b
+            if math.isfinite(u):
+                return u
+            what = "control law produced non-finite value"
+        raise ControlSingularityError(f"{what} at x={list(map(float, x))}")
 
     def law_string(self, digits: int | None = 4) -> str:
         """Grouped display of the law with reference-derivative slots."""

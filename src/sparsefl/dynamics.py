@@ -71,11 +71,7 @@ class ControlAffineSystem:
         # Overflow during a blow-up maps to inf so the integrator can report
         # a divergence instead of leaking an arithmetic error.
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = [
-                    self.f[i].evaluate(x) + self.g[i].evaluate(x) * u
-                    for i in range(self.n)
-                ]
+            values = [self.f[i].evaluate(x) + self.g[i].evaluate(x) * u for i in range(self.n)]
         except OverflowError:
             values = [math.inf] * self.n
         return np.array(values)
@@ -179,7 +175,9 @@ def integrate(
     The input is evaluated by its continuous rule at each stage time and
     state. ``Xdot`` records f(x)+g(x)u exactly at each sample; ``Y`` records
     c(x). Raises :class:`DivergenceError` naming the step where the state
-    first becomes non-finite.
+    first becomes non-finite. numpy's overflow and invalid-value warnings
+    are off in the loop: a blow-up of the plant or the input rule becomes
+    inf or NaN, which the divergence checks report.
     """
     x = check_run(sys.n, x0, dt, steps)
     m = steps + 1
@@ -196,22 +194,23 @@ def integrate(
             )
         return sys.rhs(x_stage, input_signal(t_stage, x_stage))
 
-    for i in range(m):
-        t = times[i]
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"state diverged (non-finite) at step {i}, t={t:.6g}")
-        u = input_signal(t, x)
-        X[i] = x
-        U[i] = u
-        Xdot[i] = sys.rhs(x, u)
-        Y[i] = sys.output(x)
-        if i == m - 1:
-            break
-        k1 = Xdot[i]
-        k2 = stage(t + 0.5 * dt, x + 0.5 * dt * k1, i)
-        k3 = stage(t + 0.5 * dt, x + 0.5 * dt * k2, i)
-        k4 = stage(t + dt, x + dt * k3, i)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(m):
+            t = times[i]
+            if not np.all(np.isfinite(x)):
+                raise DivergenceError(f"state diverged (non-finite) at step {i}, t={t:.6g}")
+            u = input_signal(t, x)
+            X[i] = x
+            U[i] = u
+            Xdot[i] = sys.rhs(x, u)
+            Y[i] = sys.output(x)
+            if i == m - 1:
+                break
+            k1 = Xdot[i]
+            k2 = stage(t + 0.5 * dt, x + 0.5 * dt * k1, i)
+            k3 = stage(t + 0.5 * dt, x + 0.5 * dt * k2, i)
+            k4 = stage(t + dt, x + dt * k3, i)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     return Dataset(times, X, U, Y, Xdot=Xdot)
 

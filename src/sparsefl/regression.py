@@ -1,13 +1,13 @@
 """Stacked sparse regression with the relative-degree constraint.
 
 The joint problem couples the state regressions ``Xdot = [ThetaF ThetaG] W``
-with the output regression ``Y = Phi zeta`` and enforces that the
-reconstructed model has the requested relative degree r: the mixed Lie
-derivatives Lg Lf^k c (k = 0..r-2) of the reconstructed (c, f, g) must
-vanish term by term, which is the zero test of :func:`lie.relative_degree`.
-One chain constraint, :class:`GeneralConstraint`, builds these rows for
-every r >= 2, one per level and term, independent of the samples. At r = 2
-it asks every term coefficient of sum_k (dc/dx_k) * g_k to vanish.
+with the output regression ``Y = Phi zeta`` and asks the reconstructed
+model to have the requested relative degree r: the mixed Lie derivatives
+Lg Lf^k c (k = 0..r-2) of the reconstructed (c, f, g) must vanish term by
+term. One chain constraint, :class:`GeneralConstraint`, builds these rows
+for every r >= 2, one per level and term, independent of the samples. A
+model is returned only when :func:`lie.relative_degree` certifies r on it,
+which also refuses an output whose every Lie derivative vanishes.
 
 Sparsity is produced by sequential thresholded least squares: alternate an
 exact least-squares solve with hard-thresholding of coefficients below the
@@ -22,7 +22,7 @@ The state step jointly solves only the coupled states: the states j with
 some d_j(Lf^k c) not zero. Every other state keeps its unconstrained
 initialization, which is what the block-diagonal joint solve would give it.
 At r = 2 with c = c(x_k) only state k is coupled; when no state is (a
-constant output, c = 1) the state step is skipped.
+constant output, which the certification refuses) the state step is skipped.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from .data import Dataset
 from .dictionary import DictionarySet, check_fields, integer
 from .dynamics import ControlAffineSystem
-from .lie import DEFAULT_ZERO_TOL, lie_derivative
+from .lie import lie_derivative, relative_degree
 from .symexpr import Expression, format_expression, format_terms, parse_expression
 
 __all__ = [
@@ -362,12 +362,6 @@ class GeneralConstraint:
         g, levels = _field(self.ds, xi_hat), self._levels(self.ds.phi_entries, xi_tilde)
         return np.vstack([_coefficient_rows([lie_derivative(e, g) for e in lv]) for lv in levels])
 
-    def residual(self, zeta: np.ndarray, xi_tilde: np.ndarray, xi_hat: np.ndarray) -> float:
-        """The largest coefficient magnitude of any Lg Lf^k c, k = 0..r-2."""
-        c, g = _combine(zeta, self.ds.phi_entries, self.ds.n_states), _field(self.ds, xi_hat)
-        levels = self._levels([c], xi_tilde)
-        return max(lie_derivative(e, g).max_abs_coefficient() for [e] in levels)
-
 
 # -- main solver ----------------------------------------------------------------
 
@@ -389,11 +383,12 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     the constraint acts on, unidentifiable. Only a zero input with the
     constraint off passes; it returns the drift and g = 0.
 
-    The :class:`Diagnostics` record is built once, after the solve. An
+    The :class:`Diagnostics` record is built once, after the solve, from
+    the certifier's chain, which stops at the first nonzero Lg Lf^k c. An
     alternation still moving after ``ALT_STEPS`` steps, an output Y that is
     zero, an all-zero input channel under a nonzero input (no linearizing
-    law exists), or a constraint residual above ``lie.DEFAULT_ZERO_TOL`` (a
-    model that :func:`lie.relative_degree` certifies at a lower r) raises
+    law exists), or a constrained model that :func:`lie.relative_degree`
+    does not certify at r (a constant output included) raises
     :class:`RegressionError` carrying that full record.
     """
     if d.Xdot is None:
@@ -466,12 +461,16 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     if abs(pivot - 1.0) <= 1e-9:
         zeta = zeta / pivot
 
+    f, g, c = _reconstruct(ds, xi_tilde, xi_hat, zeta)
+    chain = None if gc is None else relative_degree(ControlAffineSystem(f=f, g=g, c=c, n=n))
     diagnostics = Diagnostics(
         state_residuals=tuple(
             float(np.linalg.norm(theta @ W[:, l] - d.Xdot[:, l])) for l in range(n)
         ),
         output_residual=float(np.linalg.norm(ds.phi @ zeta - d.Y)),
-        constraint_residual=None if gc is None else gc.residual(zeta, xi_tilde, xi_hat),
+        constraint_residual=None if chain is None else max(
+            e.max_abs_coefficient() for e in chain.lg_mixed[: cfg.relative_degree - 1]
+        ),
         active_counts={
             "xi_tilde": np.count_nonzero(xi_tilde, axis=0).tolist(),
             "xi_hat": np.count_nonzero(xi_hat, axis=0).tolist(),
@@ -497,14 +496,12 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
         raise InfeasibleSparsityError(
             "threshold removed every input-channel candidate; lower lambda", diagnostics
         )
-    if gc is not None and diagnostics.constraint_residual > DEFAULT_ZERO_TOL:
+    if chain is not None and chain.relative_degree != cfg.relative_degree:
         raise RegressionError(
-            f"constraint residual {diagnostics.constraint_residual:.3g} exceeds tolerance "
-            f"{DEFAULT_ZERO_TOL:.3g}",
+            f"the identified model certifies relative degree {chain.relative_degree}, "
+            f"not {cfg.relative_degree} (y = {format_expression(c, digits=4)})",
             diagnostics,
         )
-
-    f, g, c = _reconstruct(ds, xi_tilde, xi_hat, zeta)
     return SparseModel(
         xi_tilde=xi_tilde,
         xi_hat=xi_hat,

@@ -453,9 +453,9 @@ def parse_expression(text: str, n_states: int | None = None) -> Expression:
     ``^k``, or ``sin(xN)``, ``cos(xN)``, ``sin(j*xN)`` or ``cos(j*xN)``
     with j >= 1. k and j are digit strings. Whitespace may surround any
     token. Anything else raises :class:`ValueError`, and so do a state
-    beyond ``n_states`` and a term coefficient that is not a finite float;
-    a non-string raises :class:`TypeError`. If ``n_states`` is omitted it
-    is the largest state index present.
+    beyond ``n_states`` and a literal or term coefficient that is not a
+    finite float; a non-string raises :class:`TypeError`. If ``n_states``
+    is omitted it is the largest state index present.
     """
     if not isinstance(text, str):
         raise TypeError(f"an expression must be a string, got {type(text).__name__}")
@@ -487,8 +487,11 @@ def parse_expression(text: str, n_states: int | None = None) -> Expression:
             elif m["state"]:
                 exps[state(m["state"])] += int(m["power"] or 1)
             else:
+                literal = float(m["literal"])
+                if not math.isfinite(literal):  # before the power: inf ** 0 is 1.0
+                    raise ValueError(f"literal {m['literal']} is not a finite number")
                 try:
-                    coefficient *= float(m["literal"]) ** int(m["power"] or 1)
+                    coefficient *= literal ** int(m["power"] or 1)
                 except OverflowError:
                     raise ValueError(f"literal {m['literal']}^{m['power']} overflows") from None
             pos, sep = m.end(), m["sep"]

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from conftest import weak_input_dataset
 from sparsefl.cli import (
     EXIT_CONFIG,
+    EXIT_DIVERGENCE,
     EXIT_IDENTIFICATION,
     EXIT_OK,
     EXIT_RELATIVE_DEGREE,
@@ -321,6 +323,33 @@ def test_identify_estimates_missing_derivatives(tmp_path, dataset_path):
     assert "estimated" in (tmp_path / "identify_report.txt").read_text()
 
 
+def test_identify_constant_output_fails_with_code_three(tmp_path, capsys):
+    # chain3 at r = 3 on 100 samples under the benchmark's seed-1 excitation
+    # phases, with estimated derivatives: the fit returns the constant output
+    # y = 0.5308, whose every Lie derivative vanishes, so it certifies no
+    # relative degree and no model is written
+    chain3 = {
+        "system": {"name": "chain3"},
+        "simulation": {"x0": [0.5, 0.0, 0.0], "dt": 0.01, "steps": 99},
+        "excitation": {"phases": [0.8442354444173306, 5.324583204732311, 4.798937463950548]},
+        "library": {"poly_order": 2},
+        "regression": {"relative_degree": 3},
+        "stabilization": {"x0": [0.5, 0.0, 0.0]},
+        "tracking": {"x0": [0.5, 0.0, 0.0]},
+    }
+    cfg = write_config(tmp_path, chain3)
+    assert run(["simulate", "--config", cfg, "--out", tmp_path]) == EXIT_OK
+    rows = list(csv.reader((tmp_path / "dataset.csv").read_text().splitlines()))
+    keep = [i for i, h in enumerate(rows[0]) if not h.startswith("xdot")]
+    (tmp_path / "noxdot.csv").write_text("\n".join(",".join(r[i] for i in keep) for r in rows))
+    out = tmp_path / "run"
+    code = run(["identify", "--config", cfg, "--data", tmp_path / "noxdot.csv", "--out", out])
+    assert code == EXIT_IDENTIFICATION
+    err = capsys.readouterr().err
+    assert "certifies relative degree None, not 3 (y = 0.5308)" in err and "diagnostics:" in err
+    assert not (out / "model.json").exists()
+
+
 @pytest.mark.parametrize(
     "regression, named",
     [
@@ -543,6 +572,32 @@ def test_closedloop_unstable_gains_still_simulates(tmp_path, model_path):
     assert code == EXIT_OK
     rows = list(csv.DictReader((tmp_path / "stabilization.csv").read_text().splitlines()))
     assert len(rows) == 301
+
+
+def test_closedloop_divergence_leaks_no_warning(tmp_path, model_path, capsys):
+    # gains -100, -100 put both poles in the right half-plane: the state
+    # overflows, which is a divergence (exit 4) reported with plain floats,
+    # not a numpy overflow warning from the control law
+    with pytest.warns(UserWarning, match="non-negative real part"):
+        run(["synthesize", "--model", model_path, "--out", tmp_path, "--gains=-100,-100"])
+    capsys.readouterr()
+    code = run(["closedloop", "--controller", tmp_path / "controller.json", "--out", tmp_path])
+    assert code == EXIT_DIVERGENCE
+    err = capsys.readouterr().err
+    assert re.search(r"non-finite value at x=\[-?[\d.]+e\+\d+, -?[\d.]+e\+\d+\]", err)
+    assert "Warning" not in err and "np.float64" not in err
+
+
+def test_closedloop_beta_below_the_lie_zero_is_singular(tmp_path, capsys):
+    # beta = 5e-7 is zero for lie.relative_degree; the law would divide by it
+    spec = synthesize(relative_degree(vdp_system(1, 1, 1)), gains=[5.0, 4.0]).to_dict()
+    spec["beta"] = "5e-07"
+    bad = tmp_path / "controller.json"
+    bad.write_text(json.dumps(spec))
+    out = tmp_path / "run"
+    assert run(["closedloop", "--controller", bad, "--out", out]) == EXIT_CONFIG
+    assert "decoupling term is zero; the law is singular" in capsys.readouterr().err
+    assert not any(out.rglob("*"))
 
 
 def test_closedloop_corrupted_controller(tmp_path, capsys):

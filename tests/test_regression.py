@@ -13,15 +13,16 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import default_excitation, weak_input_dataset
-from sparsefl.data import Dataset
+from sparsefl.data import Dataset, estimate_derivatives
 from sparsefl.dictionary import LibrarySpec, build_dictionaries
 from sparsefl.dynamics import ControlAffineSystem, chain_integrator_system, integrate, vdp_system
-from sparsefl.lie import DEFAULT_ZERO_TOL, relative_degree
+from sparsefl.lie import relative_degree
 from sparsefl.regression import (
     GeneralConstraint,
     InfeasibleSparsityError,
     RegressionConfig,
     RegressionError,
+    _reconstruct,
     coefficient_table,
     discovered_equations,
     format_coefficient_table,
@@ -579,11 +580,17 @@ def coefficient_matrix(exprs):
     )
 
 
+def reconstructed_chain(ds, xi_tilde, xi_hat, zeta):
+    """The Lie chain of the model that the coefficients reconstruct."""
+    f, g, c = _reconstruct(ds, xi_tilde, xi_hat, zeta)
+    return relative_degree(ControlAffineSystem(f=f, g=g, c=c, n=ds.n_states))
+
+
 def test_general_constraint_matches_bilinear_factors(vdp_dicts):
     # r = 2 with dense random coefficients: the state-1 input rows are the
     # coefficients of (dc/dx1) * theta_b, the output rows those of Lg phi_a =
-    # d(phi_a)/dx1 * g1, and the residual is the largest coefficient of
-    # (dc/dx1) * g1
+    # d(phi_a)/dx1 * g1, and either block of rows times its coefficients is
+    # Lg c = (dc/dx1) * g1, the level the certifier tests
     rng = np.random.default_rng(4)
     ds = vdp_dicts
     xi_tilde = rng.uniform(-1, 1, size=(ds.p_x, 2))
@@ -593,18 +600,26 @@ def test_general_constraint_matches_bilinear_factors(vdp_dicts):
     g1 = sum((float(w) * e for w, e in zip(xi_hat[:, 0], ds.theta_f_entries)), Expression.zero(2))
     dc = c.partial(0)
     gc = GeneralConstraint(ds, 2)
-    assert gc.residual(zeta, xi_tilde, xi_hat) == (dc * g1).max_abs_coefficient()
     states, C = gc.state_rows(zeta, xi_tilde)
     assert states == [0]
     assert np.all(C[:, : ds.p_x] == 0.0)
     assert np.array_equal(C[:, ds.p_x :], coefficient_matrix([dc * e for e in ds.theta_f_entries]))
     D = gc.zeta_rows(xi_tilde, xi_hat)
     assert np.array_equal(D, coefficient_matrix([e.partial(0) * g1 for e in ds.phi_entries]))
+    lg_c = coefficient_matrix([reconstructed_chain(ds, xi_tilde, xi_hat, zeta).lg_mixed[0]])[:, 0]
+    assert np.allclose(C[:, ds.p_x :] @ xi_hat[:, 0], lg_c, rtol=1e-12)
+    assert np.allclose(D @ zeta, lg_c, rtol=1e-12)
 
 
 def test_general_constraint_true_vdp_residuals(vdp_dicts):
+    # the true coefficients satisfy every row, and the certifier's chain
+    # has Lg c = 0 exactly and certifies r = 2
     xi_tilde, xi_hat, zeta = true_vdp_coefficients(vdp_dicts)
-    assert GeneralConstraint(vdp_dicts, 2).residual(zeta, xi_tilde, xi_hat) == 0.0
+    gc = GeneralConstraint(vdp_dicts, 2)
+    assert not np.any(gc.zeta_rows(xi_tilde, xi_hat) @ zeta)
+    chain = reconstructed_chain(vdp_dicts, xi_tilde, xi_hat, zeta)
+    assert chain.relative_degree == 2
+    assert chain.lg_mixed[0].max_abs_coefficient() == 0.0
 
 
 def test_general_constraint_rejects_excess_degree(vdp_dicts):
@@ -687,19 +702,22 @@ def test_chain_integrator_r3_constraint_rows_follow_mode(monkeypatch, plant, m):
 
 def test_chain_integrator_r3_hand_residuals():
     # plug the exact chain-integrator coefficients into the r=3 constraint:
-    # both chain levels vanish term by term
+    # both chain levels vanish term by term, and the chain certifies r = 3
     sys, d = chain3_data()
     ds = build_dictionaries(LibrarySpec(poly_order=2, output_poly_order=3), d)
     xi_tilde, xi_hat, zeta = true_chain3_coefficients(ds)
-    assert GeneralConstraint(ds, 3).residual(zeta, xi_tilde, xi_hat) == 0.0
+    assert not np.any(GeneralConstraint(ds, 3).zeta_rows(xi_tilde, xi_hat) @ zeta)
+    chain = reconstructed_chain(ds, xi_tilde, xi_hat, zeta)
+    assert chain.relative_degree == 3
+    assert max(e.max_abs_coefficient() for e in chain.lg_mixed[:2]) == 0.0
 
 
 def test_constraint_and_certification_share_one_zero():
     # c = x1, f1 = sin(x2) + x3, g = (0, sin(x2), -0.5*sin(2*x2)): Lg c = 0,
     # and Lg Lf c = cos(x2)*sin(x2) - 0.5*sin(2*x2) vanishes as a function
     # (below 1e-15 at every sample) but not term by term. The constraint
-    # residual is its largest coefficient, which is what relative_degree
-    # compares with its tolerance: it certifies r = 2, not 3.
+    # rows see its coefficients, which is what relative_degree compares
+    # with its tolerance: it certifies r = 2, not 3.
     sys, d = chain3_data()
     ds = build_dictionaries(LibrarySpec(poly_order=1, trig_orders=(1, 2)), d)
     labels = ds.labels_f()
@@ -712,32 +730,12 @@ def test_constraint_and_certification_share_one_zero():
     xi_hat[labels.index("sin(2*x2)"), 2] = -0.5
     zeta = np.zeros(ds.p_y)
     zeta[ds.labels_phi().index("x1")] = 1.0
-    residual = GeneralConstraint(ds, 3).residual(zeta, xi_tilde, xi_hat)
-    assert residual == 1.0
-
-    from sparsefl.regression import _reconstruct
-
-    f, g, c = _reconstruct(ds, xi_tilde, xi_hat, zeta)
-    chain = relative_degree(ControlAffineSystem(f=f, g=g, c=c, n=3))
+    rows = GeneralConstraint(ds, 3).zeta_rows(xi_tilde, xi_hat)
+    assert np.max(np.abs(rows @ zeta)) == 1.0
+    chain = reconstructed_chain(ds, xi_tilde, xi_hat, zeta)
     assert chain.relative_degree == 2
-    assert residual == chain.lg_mixed[1].max_abs_coefficient()
+    assert chain.lg_mixed[1].max_abs_coefficient() == 1.0
     assert np.max(np.abs(evaluate_columns([chain.lg_mixed[1]], d.X))) <= 1e-15
-
-
-@pytest.mark.parametrize("excess, accepted", [(0.0, True), (1e-12, False)], ids=["at-tol", "above-tol"])
-def test_solve_accepts_exactly_up_to_the_certifier_tolerance(monkeypatch, vdp_dicts, vdp_data, excess, accepted):
-    # solve rejects a model exactly when its residual exceeds the zero
-    # tolerance of relative_degree
-    import sparsefl.regression as regression
-
-    monkeypatch.setattr(
-        regression.GeneralConstraint, "residual", lambda *args: DEFAULT_ZERO_TOL + excess
-    )
-    if accepted:
-        solve(vdp_dicts, vdp_data, RegressionConfig())
-    else:
-        with pytest.raises(RegressionError, match="constraint residual"):
-            solve(vdp_dicts, vdp_data, RegressionConfig())
 
 
 # -- coupled states ------------------------------------------------------------------------
@@ -759,17 +757,52 @@ def test_uncoupled_state_keeps_unconstrained_solution(vdp_dicts, vdp_data, plant
     assert np.array_equal(constrained.xi_hat[:, state], free.xi_hat[:, state])
 
 
-def test_constant_output_skips_state_step(vdp_data):
+def test_constant_output_raises(vdp_data):
     # Y = 1 fits zeta = e_0, c = 1, whose chain has no gradient: no input
-    # channel enters the constraint and every state keeps its initialization
+    # channel enters the constraint, every state keeps its initialization,
+    # and the model, whose every Lie derivative vanishes, has no relative
+    # degree to certify
     d = Dataset(vdp_data.times, vdp_data.X, vdp_data.U, np.ones(vdp_data.m), Xdot=vdp_data.Xdot)
     ds = build_dictionaries(LibrarySpec(), d)
-    model = solve(ds, d, RegressionConfig())
     free = solve(ds, d, RegressionConfig(constraint_mode="none"))
-    assert model.c == Expression.constant(1.0, 2)
-    assert model.diagnostics.constraint_residual == 0.0
-    assert np.array_equal(model.xi_tilde, free.xi_tilde)
-    assert np.array_equal(model.xi_hat, free.xi_hat)
+    with pytest.raises(RegressionError, match=r"relative degree None, not 2 \(y = 1\)") as err:
+        solve(ds, d, RegressionConfig())
+    diagnostics = err.value.diagnostics
+    assert diagnostics.constraint_residual == 0.0
+    assert diagnostics.active_counts == free.diagnostics.active_counts
+
+
+GRID_PLANTS = {
+    "vdp": (vdp_system(1, 1, 1), [2.0, 0.0], 2, LibrarySpec()),
+    "chain3": (chain_integrator_system(3), [0.5, 0.0, 0.0], 3, LibrarySpec(poly_order=2)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:only 100 samples for a library:UserWarning")
+@pytest.mark.parametrize(
+    "plant, wide, m, noise, exact",
+    list(itertools.product(GRID_PLANTS, [False, True], [100, 300], [0.0, 1e-3], [True, False])),
+)
+def test_every_returned_model_certifies_the_requested_degree(plant, wide, m, noise, exact):
+    # small cells of the trust grid: both plants, the narrow and the wide
+    # (poly_order 5, trig orders 1 and 2) library, clean and noisy, exact
+    # and estimated derivatives. solve may raise, but a model it returns
+    # certifies at r. Ten chain3 cells fit a constant output, which
+    # certifies no relative degree, so solve must raise there.
+    sys, x0, r, spec = GRID_PLANTS[plant]
+    if wide:
+        spec = LibrarySpec(poly_order=5, trig_orders=(1, 2))
+    d = integrate(sys, x0, default_excitation(), 0.01, m - 1)
+    rng = np.random.default_rng(1)
+    X = d.X + noise * rng.standard_normal(d.X.shape)
+    Y = d.Y + noise * rng.standard_normal(d.m)
+    Xdot = d.Xdot + noise * rng.standard_normal(d.X.shape) if exact else None
+    d = estimate_derivatives(Dataset(d.times, X, d.U, Y, Xdot=Xdot))
+    try:
+        model = solve(build_dictionaries(spec, d), d, RegressionConfig(relative_degree=r))
+    except RegressionError:
+        return
+    assert relative_degree(model.system()).relative_degree == r
 
 
 @pytest.mark.parametrize("n, r", [(1, 2), (2, 3)])

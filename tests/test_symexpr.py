@@ -241,6 +241,7 @@ def test_parse_accepts(text, printed, n_states):
         "sin(2.5*x1)",
         "sin(0*x1)",
         "1e400*x1",
+        "1e400^0*x1",  # the literal is tested before its power: inf ** 0 is 1.0
     ],
 )
 def test_parse_rejects(text):
