@@ -16,7 +16,8 @@ closedloop    simulate the true plant under a saved controller; write
 pipeline      run all stages and write a summary
 
 Exit codes: 0 success, 2 config error, 3 identification infeasible,
-4 divergence, 5 relative-degree failure.
+4 divergence, 5 relative-degree failure. A warning (unstable gains, too few
+samples) is one ``warning: <message>`` line on stderr, also under -W error.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import copy
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 from typing import Callable
@@ -335,9 +337,7 @@ def cmd_identify(d: data.Dataset, cfg: PipelineConfig, out_dir: Path) -> SparseM
     lines += ["Discovered equations after applying the threshold:"]
     lines += ["  " + eq for eq in regression.discovered_equations(model)]
     lines += ["", "Coefficient table:", regression.format_coefficient_table(model)]
-    lines += ["", "Diagnostics:"]
-    for key, value in model.diagnostics.to_dict().items():
-        lines.append(f"  {key}: {value}")
+    lines += ["", "Diagnostics:"] + [f"  {k}: {v}" for k, v in model.diagnostics.to_dict().items()]
     (out_dir / "identify_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return model
 
@@ -430,9 +430,7 @@ def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
 
     summary = _summarize(cfg, model, chain, stabilization)
     _write_json(out_dir / "summary.json", summary)
-    lines = ["Pipeline summary", "=" * 40]
-    for key, value in summary.items():
-        lines.append(f"{key}: {value}")
+    lines = ["Pipeline summary", "=" * 40] + [f"{key}: {value}" for key, value in summary.items()]
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return summary
 
@@ -536,6 +534,13 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_value_flags(list(argv)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         if args.command == "defaults":
             text = json.dumps(default_config(), indent=2, sort_keys=True)

@@ -9,12 +9,13 @@ Three paired libraries are built from a :class:`LibrarySpec`:
   ``theta_g = theta_f * u`` sample by sample, so the constant entry gives
   the pure ``u`` column. It has no symbolic entries of its own: column k of
   ``theta_g`` belongs to drift entry k, and a model's g combines the input
-  coefficients with the drift entries;
+  coefficients with the drift entries. It is never stored: the regression
+  forms its rows where it reads them, a block of rows at a time;
 * output library: powers ``1, x_k, x_k^2, ...`` of the observed state.
 
-The drift and output matrices come from
-:func:`sparsefl.symexpr.evaluate_columns` over all samples at once, which
-returns exactly what the symbolic entry's ``evaluate`` returns at each
+The drift and output matrices are views into the one array that
+:func:`sparsefl.symexpr.evaluate_columns` returns over all samples at once,
+which holds exactly what the symbolic entry's ``evaluate`` returns at each
 sample, so the symbolic and numeric views agree bit for bit.
 """
 
@@ -127,14 +128,14 @@ def _drift_entries(spec: LibrarySpec, n: int) -> list[Expression]:
 
 @dataclass(frozen=True)
 class DictionarySet:
-    """Symbolic library entries paired with their evaluation on a Dataset."""
+    """Library entries and their values on a Dataset, as views into one read-only array."""
 
     spec: LibrarySpec
     n_states: int
     theta_f_entries: tuple[Expression, ...]
     phi_entries: tuple[Expression, ...]
-    theta: np.ndarray  # m x (p_x + p_u), the joint design [theta_f | theta_g]
-    phi: np.ndarray  # m x p_y
+    theta_f: np.ndarray  # m x p_x, columns :p_x of the m x (p_x + p_y) array
+    phi: np.ndarray  # m x p_y, the remaining columns
 
     @property
     def p_x(self) -> int:
@@ -205,25 +206,18 @@ def build_dictionaries(spec: LibrarySpec, d: Dataset) -> DictionarySet:
         values = evaluate_columns(entries, d.X)
     except OverflowError:
         raise _overflow_error(str(next(e for e in entries if _overflows(e, d.X))), d) from None
-    theta = np.empty((d.m, 2 * p_x))
-    theta[:, :p_x] = values[:, :p_x]
-    try:  # numpy writes every product before it raises
-        with np.errstate(over="raise"):
-            np.multiply(values[:, :p_x], d.U[:, None], out=theta[:, p_x:])
-    except FloatingPointError:
-        j = np.flatnonzero(~np.isfinite(theta[:, p_x:]).all(axis=0))[0]
-        raise _overflow_error(f"{f_entries[j]}*u", d) from None
-    # 0.0 + v, as evaluate_columns sums from zero: a -0.0 product becomes +0.0
-    theta[:, p_x:] += 0.0
-    phi = values[:, p_x:].copy()
-    theta.setflags(write=False)
-    phi.setflags(write=False)
+    values.setflags(write=False)
+    theta_f = values[:, :p_x]
+    # rounding to nearest is monotone, so each |theta_ik * u_i| rounds to at most
+    # fl(max|values| * max|u|): only when that bound is inf can a product overflow
+    with np.errstate(over="ignore"):
+        bound = max(values.max(), -values.min()) * np.max(np.abs(d.U))
+    for k in range(p_x if math.isinf(bound) else 0):
+        try:
+            with np.errstate(over="raise"):
+                theta_f[:, k] * d.U
+        except FloatingPointError:
+            raise _overflow_error(f"{f_entries[k]}*u", d) from None
     return DictionarySet(
-        spec=spec,
-        n_states=n,
-        theta_f_entries=tuple(f_entries),
-        phi_entries=tuple(phi_entries),
-        theta=theta,
-        phi=phi,
+        spec, n, tuple(f_entries), tuple(phi_entries), theta_f=theta_f, phi=values[:, p_x:]
     )
-

@@ -205,20 +205,36 @@ class _Factor:
     qtz: np.ndarray
 
 
-def _factor(A: np.ndarray, Z: np.ndarray) -> _Factor:
-    """The :class:`_Factor` of ``A`` against ``Z``'s columns.
+def _design_rows(theta_f: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
+    """Rows of the state design [Θ_f | Θ_f·u] into ``out``: the one place Θ_f·u is formed.
+
+    Each product gets 0.0 added, as evaluate_columns sums from +0.0: -0.0 becomes +0.0.
+    """
+    p = theta_f.shape[1]
+    out[:, :p] = theta_f
+    np.multiply(theta_f, u[:, None], out=out[:, p:])
+    out[:, p:] += 0.0
+
+
+def _factor(A: np.ndarray, Z: np.ndarray, u: np.ndarray | None = None) -> _Factor:
+    """The :class:`_Factor` of the design A, or with ``u`` of [A | A·u], against Z's columns.
 
     R is built 512 rows at a time, as the R of [R; next rows] written into
-    one buffer: one QR of all m x (p + n) entries read 6.6 MB more
-    ``peak_rss_mb`` in the benchmark at m = 5000, p + n = 60. With fewer
-    than p + n rows, R has m rows. A non-finite R raises
+    one buffer, where :func:`_design_rows` forms the input columns A·u: no
+    m-row copy of the design exists. One QR of all m x (p + n) entries read
+    6.6 MB more ``peak_rss_mb`` in the benchmark at m = 5000, p + n = 60.
+    With fewer than p + n rows, R has m rows. A non-finite R raises
     :class:`RegressionError`.
     """
-    (m, p), n = A.shape, Z.shape[1]
+    m, n = len(A), Z.shape[1]
+    p = A.shape[1] * (1 if u is None else 2)
     stack, k = np.empty((p + n + 512, p + n)), 0  # [R; next rows], R in the top k rows
     for i in range(0, m, 512):
         rows = stack[k : k + min(512, m - i)]
-        rows[:, :p] = A[i : i + 512]
+        if u is None:
+            rows[:, :p] = A[i : i + 512]
+        else:
+            _design_rows(A[i : i + 512], u[i : i + 512], rows[:, :p])
         rows[:, p:] = Z[i : i + 512]
         R = np.linalg.qr(stack[: k + len(rows)], mode="r")
         k = len(R)
@@ -228,6 +244,25 @@ def _factor(A: np.ndarray, Z: np.ndarray) -> _Factor:
             f"the QR factor of the {m} x {p} library design is not finite; rescale the data"
         )
     return _Factor(R[:p, :p], R[:p, p:])
+
+
+def _state_residuals(
+    theta_f: np.ndarray, u: np.ndarray, W: np.ndarray, Xdot: np.ndarray
+) -> tuple[float, ...]:
+    """||[Θ_f | Θ_f·u] W[:, l] - Ẋ[:, l]|| per state l, the design formed 512 rows at a time.
+
+    A lone last row joins the block before: numpy takes a one-row matrix
+    times a vector as a dot product, which sums in another order than gemv.
+    """
+    m, n = Xdot.shape
+    res, rows = np.empty((n, m)), np.empty((min(513, m), len(W)))
+    edges = [*range(0, max(m - 1, 1), 512), m]
+    for i, j in zip(edges, edges[1:]):
+        block = rows[: j - i]
+        _design_rows(theta_f[i:j], u[i:j], block)
+        for l in range(n):
+            np.subtract(block @ W[:, l], Xdot[i:j, l], out=res[l, i:j])
+    return tuple(float(np.linalg.norm(r)) for r in res)
 
 
 def _stls(
@@ -410,11 +445,10 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
         )
         raise RegressionError(f"{why}; excite the plant with a varying input")
     n, p_x = d.n, ds.p_x
-    theta = ds.theta
     sweeps = 0
 
     # one QR per design serves every sweep of every state and step
-    theta_qr, phi_qr = _factor(theta, d.Xdot), _factor(ds.phi, d.Y[:, None])
+    theta_qr, phi_qr = _factor(ds.theta_f, d.Xdot, d.U), _factor(ds.phi, d.Y[:, None])
 
     def stls(factor, z, constraint, what):
         nonlocal sweeps
@@ -431,7 +465,7 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
 
     # unconstrained initialization
     zeta = stls(phi_qr, d.Y, None, "the output equation")
-    W_init = np.empty((theta.shape[1], n))
+    W_init = np.empty((p_x + ds.p_u, n))
     for l in range(n):
         states_stls(W_init, [l], None)
     W = W_init
@@ -464,9 +498,7 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     f, g, c = _reconstruct(ds, xi_tilde, xi_hat, zeta)
     chain = None if gc is None else relative_degree(ControlAffineSystem(f=f, g=g, c=c, n=n))
     diagnostics = Diagnostics(
-        state_residuals=tuple(
-            float(np.linalg.norm(theta @ W[:, l] - d.Xdot[:, l])) for l in range(n)
-        ),
+        state_residuals=_state_residuals(ds.theta_f, d.U, W, d.Xdot),
         output_residual=float(np.linalg.norm(ds.phi @ zeta - d.Y)),
         constraint_residual=None if chain is None else max(
             e.max_abs_coefficient() for e in chain.lg_mixed[: cfg.relative_degree - 1]
@@ -536,10 +568,7 @@ def coefficient_table(model: SparseModel) -> tuple[list[str], list[list[float]],
             label_index[lab] = len(row_labels)
             row_labels.append(lab)
 
-    columns = []
-    for l in range(n):
-        columns.append(f"xi_tilde_{l + 1}")
-        columns.append(f"xi_hat_{l + 1}")
+    columns = [f"{block}_{l + 1}" for l in range(n) for block in ("xi_tilde", "xi_hat")]
     columns.append("zeta")
 
     rows = [[0.0] * len(columns) for _ in row_labels]

@@ -9,7 +9,7 @@ from sparsefl.control import synthesize
 from sparsefl.dictionary import LibrarySpec, build_dictionaries
 from sparsefl.dynamics import ControlAffineSystem, integrate, sine_sum_input, vdp_system
 from sparsefl.lie import relative_degree
-from sparsefl.regression import RegressionConfig, solve
+from sparsefl.regression import RegressionConfig, _design_rows, solve
 from sparsefl.symexpr import Expression, Term
 
 # Default excitation of the demo pipeline: three incommensurate sinusoids.
@@ -26,6 +26,13 @@ def weak_input_dataset(gain: float):
     vdp = vdp_system(1.0, 1.0, 1.0)
     weak = ControlAffineSystem(vdp.f, (Expression.zero(2), Expression.constant(gain, 2)), vdp.c, 2)
     return integrate(weak, [2.0, 0.0], default_excitation(), 0.01, 99)
+
+
+def state_design(ds, d):
+    """The rows the regression factors, [theta_f | theta_f * u], formed by its own row helper."""
+    out = np.empty((d.m, ds.p_x + ds.p_u))
+    _design_rows(ds.theta_f, d.U, out)
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import default_excitation, make_random_expression
+from conftest import default_excitation, make_random_expression, state_design
 from sparsefl.control import gains_from_poles, sinusoid_reference, synthesize, zero_reference
 from sparsefl.data import Dataset
 from sparsefl.dictionary import LibrarySpec, build_dictionaries
@@ -193,7 +193,7 @@ def test_criterion_7_least_squares_oracle():
         )
         ds = build_dictionaries(LibrarySpec(poly_order=1), d)
         model = solve(ds, d, cfg)
-        theta = ds.theta
+        theta = state_design(ds, d)
         for l in range(2):
             oracle = np.linalg.solve(theta.T @ theta, theta.T @ d.Xdot[:, l])
             got = np.concatenate([model.xi_tilde[:, l], model.xi_hat[:, l]])

@@ -555,13 +555,13 @@ def test_closedloop_tracking(tmp_path, controller_path):
     assert err <= 0.05
 
 
-def test_closedloop_unstable_gains_still_simulates(tmp_path, model_path):
+def test_closedloop_unstable_gains_still_simulates(tmp_path, model_path, capsys):
     # a positive pole draws a warning but the simulation must still run
-    with pytest.warns(UserWarning, match="non-negative real part"):
-        assert (
-            run(["synthesize", "--model", model_path, "--out", tmp_path, "--gains", "-0.1,0.9"])
-            == EXIT_OK
-        )
+    assert (
+        run(["synthesize", "--model", model_path, "--out", tmp_path, "--gains", "-0.1,0.9"])
+        == EXIT_OK
+    )
+    assert "warning: gains place a closed-loop pole" in capsys.readouterr().err
     cfg = write_config(
         tmp_path, {"stabilization": {"x0": [0.1, 0.0], "dt": 0.01, "steps": 300}}
     )
@@ -578,14 +578,35 @@ def test_closedloop_divergence_leaks_no_warning(tmp_path, model_path, capsys):
     # gains -100, -100 put both poles in the right half-plane: the state
     # overflows, which is a divergence (exit 4) reported with plain floats,
     # not a numpy overflow warning from the control law
-    with pytest.warns(UserWarning, match="non-negative real part"):
-        run(["synthesize", "--model", model_path, "--out", tmp_path, "--gains=-100,-100"])
-    capsys.readouterr()
+    run(["synthesize", "--model", model_path, "--out", tmp_path, "--gains=-100,-100"])
+    assert "non-negative real part" in capsys.readouterr().err
     code = run(["closedloop", "--controller", tmp_path / "controller.json", "--out", tmp_path])
     assert code == EXIT_DIVERGENCE
     err = capsys.readouterr().err
     assert re.search(r"non-finite value at x=\[-?[\d.]+e\+\d+, -?[\d.]+e\+\d+\]", err)
     assert "Warning" not in err and "np.float64" not in err
+
+
+def test_synthesize_unstable_gains_warn_on_one_stderr_line(tmp_path, model_path, capsys):
+    # the library's UserWarning used to leave main as a Python warning: a
+    # traceback under -W error (here pytest's filterwarnings = error)
+    code = run(["synthesize", "--model", model_path, "--out", tmp_path, "--gains=-100,-100"])
+    assert code == EXIT_OK and (tmp_path / "controller.json").exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: gains place a closed-loop pole with non-negative real part"
+    ]
+
+
+def test_identify_short_dataset_warns_on_one_stderr_line(tmp_path, capsys):
+    # 13 samples for 20 input and drift columns: underdetermined, which warns
+    cfg = write_config(tmp_path, {"simulation": {"steps": 12}})
+    assert run(["simulate", "--config", cfg, "--out", tmp_path]) == EXIT_OK
+    capsys.readouterr()
+    code = run(["identify", "--config", cfg, "--data", tmp_path / "dataset.csv", "--out", tmp_path])
+    assert code == EXIT_OK and (tmp_path / "model.json").exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: only 13 samples for a library of width 20; the regression is underdetermined"
+    ]
 
 
 def test_closedloop_beta_below_the_lie_zero_is_singular(tmp_path, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import state_design
 from sparsefl.data import Dataset
 from sparsefl.dictionary import LibrarySpec, build_dictionaries
 from sparsefl.symexpr import evaluate_columns
@@ -67,7 +68,7 @@ def test_polynomial_block_prefix_property():
     small = build_dictionaries(LibrarySpec(poly_order=2), d)
     large = build_dictionaries(LibrarySpec(poly_order=3), d)
     assert large.labels_f()[: small.p_x] == small.labels_f()
-    assert np.array_equal(large.theta[:, : small.p_x], small.theta[:, : small.p_x])
+    assert np.array_equal(large.theta_f[:, : small.p_x], small.theta_f)
 
 
 def test_cross_trig_products_available():
@@ -127,7 +128,7 @@ def test_output_index_out_of_range():
 def test_input_matrix_row_arithmetic():
     d = dataset_from_states([[2.0, 3.0], [2.0, 3.0]], U=[5.0, 5.0])
     ds = build_dictionaries(LibrarySpec(poly_order=1), d)
-    theta_g = ds.theta[:, ds.p_x :]
+    theta_g = state_design(ds, d)[:, ds.p_x :]
     assert theta_g[0, ds.labels_g().index("x1*u")] == 10.0
     assert theta_g[0, ds.labels_g().index("u")] == 5.0
 
@@ -144,10 +145,10 @@ def test_matrices_match_symbolic_evaluation_exactly():
     ds = build_dictionaries(LibrarySpec(poly_order=5, trig_orders=(1, 2)), d)
     for i in range(d.m):
         for j, e in enumerate(ds.theta_f_entries):
-            assert ds.theta[i, j] == e.evaluate(d.X[i])
+            assert ds.theta_f[i, j] == e.evaluate(d.X[i])
         for j, e in enumerate(ds.phi_entries):
             assert ds.phi[i, j] == e.evaluate(d.X[i])
-    assert np.array_equal(ds.theta[:, ds.p_x :], input_library_oracle(ds, d))
+    assert np.array_equal(state_design(ds, d)[:, ds.p_x :], input_library_oracle(ds, d))
 
 
 @pytest.mark.filterwarnings("ignore:only .* samples")
@@ -158,11 +159,37 @@ def test_input_library_keeps_signed_zeros_positive():
     d = dataset_from_states(X, U=[-1.5, -0.5, 0.0, -0.0])
     spec = LibrarySpec(poly_order=3, trig_orders=(1,), cross_trig=True)
     ds = build_dictionaries(spec, d)
-    theta_g = ds.theta[:, ds.p_x :]
+    theta_g = state_design(ds, d)[:, ds.p_x :]
     bits = theta_g.view(np.uint64)
     assert np.array_equal(bits, input_library_oracle(ds, d).view(np.uint64))
     assert not np.signbit(theta_g[theta_g == 0.0]).any()
     assert ds.p_u == ds.p_x and ds.labels_g()[:3] == ["u", "x1*u", "x2*u"]
+
+
+def test_drift_and_output_libraries_share_one_buffer():
+    # the input library is formed where the regression reads it, so the only
+    # m-row array is evaluate_columns' m x (p_x + p_y) result, read-only
+    d = random_dataset(m=60)
+    ds = build_dictionaries(LibrarySpec(poly_order=3, trig_orders=(1,)), d)
+    buffer = ds.theta_f.base
+    assert ds.phi.base is buffer and buffer.base is None
+    assert np.shares_memory(buffer, ds.theta_f) and np.shares_memory(buffer, ds.phi)
+    assert buffer.nbytes == d.m * (ds.p_x + ds.p_y) * 8
+    assert not ds.theta_f.flags.writeable and not ds.phi.flags.writeable
+
+
+def test_input_overflow_check_is_per_sample():
+    # max |x1| and max |u| fall on different samples: their product is inf,
+    # but no sample's x1 * u is, so the library builds and its input rows are
+    # the per-sample products; the same x1 and u on one sample overflow
+    X = [[1.5e308, 0.5], [1.0, -1.0], [0.5, 1.0], [-1.0, 0.25], [2.0, 0.0], [0.25, 1.5]]
+    U = [0.5, 4.0, -2.0, 1.0, -1.0, 3.0]
+    spec = LibrarySpec(poly_order=1, output_poly_order=1)
+    d = dataset_from_states(X, U=U)
+    ds = build_dictionaries(spec, d)
+    assert np.array_equal(state_design(ds, d)[:, ds.p_x :], input_library_oracle(ds, d))
+    with pytest.raises(ValueError, match=r"library entry x1\*u overflows a float"):
+        build_dictionaries(spec, dataset_from_states(X, U=[4.0] + U[1:]))
 
 
 def test_underdetermined_warning():

@@ -6,13 +6,14 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import default_excitation, weak_input_dataset
+from conftest import default_excitation, state_design, weak_input_dataset
 from sparsefl.data import Dataset, estimate_derivatives
 from sparsefl.dictionary import LibrarySpec, build_dictionaries
 from sparsefl.dynamics import ControlAffineSystem, chain_integrator_system, integrate, vdp_system
@@ -23,6 +24,7 @@ from sparsefl.regression import (
     RegressionConfig,
     RegressionError,
     _reconstruct,
+    _state_residuals,
     coefficient_table,
     discovered_equations,
     format_coefficient_table,
@@ -122,7 +124,7 @@ def test_stacked_off_diagonal_blocks_are_zero():
 
 def test_true_coefficients_reproduce_targets(vdp_dicts, vdp_data):
     xi_tilde, xi_hat, zeta = true_vdp_coefficients(vdp_dicts)
-    xdot = vdp_dicts.theta @ np.vstack([xi_tilde, xi_hat])
+    xdot = state_design(vdp_dicts, vdp_data) @ np.vstack([xi_tilde, xi_hat])
     assert np.max(np.abs(xdot - vdp_data.Xdot)) <= 1e-8
     assert np.max(np.abs(vdp_dicts.phi @ zeta - vdp_data.Y)) <= 1e-8
 
@@ -281,7 +283,7 @@ def test_unconstrained_lambda_zero_equals_least_squares():
         d = random_dataset(m=20, seed=seed)
         ds = build_dictionaries(LibrarySpec(poly_order=1), d)  # 3 + 3 columns per state
         model = solve(ds, d, cfg)
-        theta = ds.theta
+        theta = state_design(ds, d)
         for l in range(2):
             expected = normal_equations(theta, d.Xdot[:, l])
             got = np.concatenate([model.xi_tilde[:, l], model.xi_hat[:, l]])
@@ -439,7 +441,7 @@ def test_solve_is_deterministic_and_threshold_stable(vdp_dicts, vdp_data):
     assert np.array_equal(a.xi_hat, b.xi_hat)
     assert np.array_equal(a.zeta, b.zeta)
     # one more unconstrained sweep on the final support leaves state 2 unchanged
-    theta = vdp_dicts.theta
+    theta = state_design(vdp_dicts, vdp_data)
     w = np.concatenate([a.xi_tilde[:, 1], a.xi_hat[:, 1]])
     active = w != 0.0
     refit = np.linalg.lstsq(theta[:, active], vdp_data.Xdot[:, 1], rcond=None)[0]
@@ -488,6 +490,41 @@ def test_design_beyond_the_float_range_raises():
     ds = build_dictionaries(LibrarySpec(poly_order=1, output_poly_order=1), d)
     with pytest.raises(RegressionError, match="QR factor of the 50 x 6 library design is not finite"):
         solve(ds, d, RegressionConfig(constraint_mode="none"))
+
+
+def test_solve_never_allocates_an_m_by_p_x_array():
+    # the state design [theta_f | theta_f * u] is formed 512 rows at a time,
+    # inside the QR and the residuals, so solve's traced peak stays below one
+    # m x p_x array even on the wide library at m = 5000
+    m = 5000
+    rng = np.random.default_rng(5)
+    X, U = rng.uniform(-2, 2, size=(m, 2)), rng.uniform(-2, 2, size=m)
+    plant = vdp_system(1, 1, 1)
+    Xdot = evaluate_columns(plant.f, X) + evaluate_columns(plant.g, X) * U[:, None]
+    d = Dataset(np.arange(m) * 0.01, X, U, X[:, 0], Xdot=Xdot)
+    ds = build_dictionaries(LibrarySpec(poly_order=5, trig_orders=(1, 2)), d)
+    solve(ds, d, RegressionConfig())  # one-time costs (lazy imports) that do not grow with m
+    tracemalloc.start()
+    try:
+        model = solve(ds, d, RegressionConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.p_x == 29 and peak < m * ds.p_x * 8
+    assert model.diagnostics.active_counts["xi_hat"] == [0, 1]
+
+
+@pytest.mark.parametrize("m", [1025, 1537, 2049])
+def test_state_residuals_match_one_product_of_the_whole_design(m):
+    # Xdot is the whole design times W, one matrix-vector product per state,
+    # so the residuals formed 512 rows at a time must be exactly zero; a lone
+    # last row taken on its own is a dot product, which rounds differently
+    d = random_dataset(m=m, seed=m)
+    ds = build_dictionaries(LibrarySpec(poly_order=5, trig_orders=(1, 2)), d)
+    W = np.random.default_rng(m).uniform(-1, 1, size=(ds.p_x + ds.p_u, 2))
+    theta = state_design(ds, d)
+    d = d.with_xdot(np.column_stack([theta @ W[:, l] for l in range(2)]))
+    assert _state_residuals(ds.theta_f, d.U, W, d.Xdot) == (0.0, 0.0)
 
 
 def test_emptied_input_channel_raises():
