@@ -16,8 +16,9 @@ closedloop    simulate the true plant under a saved controller; write
 pipeline      run all stages and write a summary
 
 Exit codes: 0 success, 2 config error, 3 identification infeasible,
-4 divergence, 5 relative-degree failure. A warning (unstable gains, too few
-samples) is one ``warning: <message>`` line on stderr, also under -W error.
+4 divergence, 5 relative-degree failure. A library warning (unstable gains,
+too few samples) is one ``warning: <message>`` line on stderr, also under
+-W error; other warning categories keep the interpreter's filters.
 """
 
 from __future__ import annotations
@@ -337,7 +338,9 @@ def cmd_identify(d: data.Dataset, cfg: PipelineConfig, out_dir: Path) -> SparseM
     lines += ["Discovered equations after applying the threshold:"]
     lines += ["  " + eq for eq in regression.discovered_equations(model)]
     lines += ["", "Coefficient table:", regression.format_coefficient_table(model)]
-    lines += ["", "Diagnostics:"] + [f"  {k}: {v}" for k, v in model.diagnostics.to_dict().items()]
+    lines += ["", "Diagnostics:"]
+    for key, value in model.diagnostics.to_dict().items():
+        lines.append(f"  {key}: {value}")
     (out_dir / "identify_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return model
 
@@ -430,7 +433,9 @@ def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
 
     summary = _summarize(cfg, model, chain, stabilization)
     _write_json(out_dir / "summary.json", summary)
-    lines = ["Pipeline summary", "=" * 40] + [f"{key}: {value}" for key, value in summary.items()]
+    lines = ["Pipeline summary", "=" * 40]
+    for key, value in summary.items():
+        lines.append(f"{key}: {value}")
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return summary
 
@@ -535,8 +540,18 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_value_flags(list(argv)))
     with warnings.catch_warnings():
-        warnings.simplefilter("always")
-        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        # the library's own warnings are UserWarnings; every other category
+        # (a leaked RuntimeWarning, say) stays under the ambient filters
+        warnings.filterwarnings("always", category=UserWarning)
+        shown = warnings.showwarning
+
+        def show(message, category, *rest):
+            if issubclass(category, UserWarning):
+                print(f"warning: {message}", file=sys.stderr)
+            else:
+                shown(message, category, *rest)
+
+        warnings.showwarning = show
         return _run(args)
 
 

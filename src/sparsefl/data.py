@@ -41,7 +41,10 @@ class Dataset:
     Xdot: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        times, X, U, Y = (_as_readonly(a) for a in (self.times, self.X, self.U, self.Y))
+        times = _as_readonly(self.times)
+        X = _as_readonly(self.X)
+        U = _as_readonly(self.U)
+        Y = _as_readonly(self.Y)
         Xdot = None if self.Xdot is None else _as_readonly(self.Xdot)
 
         if times.ndim != 1 or X.ndim != 2 or U.ndim != 1 or Y.ndim != 1:
@@ -54,10 +57,11 @@ class Dataset:
         if Xdot is not None and Xdot.shape != X.shape:
             raise DatasetError(f"Xdot shape {Xdot.shape} does not match X shape {X.shape}")
 
-        arrays = {"times": times, "X": X, "U": U, "Y": Y, "Xdot": Xdot}
-        for name, arr in arrays.items():
-            if arr is not None and not np.all(np.isfinite(arr)):
+        for name, arr in (("times", times), ("X", X), ("U", U), ("Y", Y)):
+            if not np.all(np.isfinite(arr)):
                 raise DatasetError(f"non-finite values in {name}")
+        if Xdot is not None and not np.all(np.isfinite(Xdot)):
+            raise DatasetError("non-finite values in Xdot")
 
         diffs = np.diff(times)
         if np.any(diffs <= 0):
@@ -69,8 +73,11 @@ class Dataset:
         if np.any(np.abs(diffs - dt) > tol):
             raise DatasetError("non-uniform time grid")
 
-        for name, arr in arrays.items():
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "Xdot", Xdot)
 
     @property
     def m(self) -> int:

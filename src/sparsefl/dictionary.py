@@ -13,7 +13,7 @@ Three paired libraries are built from a :class:`LibrarySpec`:
   forms its rows where it reads them, a block of rows at a time;
 * output library: powers ``1, x_k, x_k^2, ...`` of the observed state.
 
-The drift and output matrices are views into the one array that
+The drift and output matrices are views into the one column-major array that
 :func:`sparsefl.symexpr.evaluate_columns` returns over all samples at once,
 which holds exactly what the symbolic entry's ``evaluate`` returns at each
 sample, so the symbolic and numeric views agree bit for bit.
@@ -134,7 +134,7 @@ class DictionarySet:
     n_states: int
     theta_f_entries: tuple[Expression, ...]
     phi_entries: tuple[Expression, ...]
-    theta_f: np.ndarray  # m x p_x, columns :p_x of the m x (p_x + p_y) array
+    theta_f: np.ndarray  # m x p_x, columns :p_x of the column-major m x (p_x + p_y) array
     phi: np.ndarray  # m x p_y, the remaining columns
 
     @property
@@ -209,15 +209,21 @@ def build_dictionaries(spec: LibrarySpec, d: Dataset) -> DictionarySet:
     values.setflags(write=False)
     theta_f = values[:, :p_x]
     # rounding to nearest is monotone, so each |theta_ik * u_i| rounds to at most
-    # fl(max|values| * max|u|): only when that bound is inf can a product overflow
+    # fl(max|values| * max|u|): only when that bound is not finite (inf, or NaN
+    # from an inf * 0 in evaluate_columns) can a product overflow
     with np.errstate(over="ignore"):
         bound = max(values.max(), -values.min()) * np.max(np.abs(d.U))
-    for k in range(p_x if math.isinf(bound) else 0):
+    for k in range(0 if math.isfinite(bound) else p_x):
         try:
             with np.errstate(over="raise"):
                 theta_f[:, k] * d.U
         except FloatingPointError:
             raise _overflow_error(f"{f_entries[k]}*u", d) from None
     return DictionarySet(
-        spec, n, tuple(f_entries), tuple(phi_entries), theta_f=theta_f, phi=values[:, p_x:]
+        spec=spec,
+        n_states=n,
+        theta_f_entries=tuple(f_entries),
+        phi_entries=tuple(phi_entries),
+        theta_f=theta_f,
+        phi=values[:, p_x:],
     )

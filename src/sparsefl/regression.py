@@ -212,7 +212,7 @@ def _design_rows(theta_f: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
     """
     p = theta_f.shape[1]
     out[:, :p] = theta_f
-    np.multiply(theta_f, u[:, None], out=out[:, p:])
+    np.multiply(out[:, :p], u[:, None], out=out[:, p:])
     out[:, p:] += 0.0
 
 
@@ -223,12 +223,14 @@ def _factor(A: np.ndarray, Z: np.ndarray, u: np.ndarray | None = None) -> _Facto
     one buffer, where :func:`_design_rows` forms the input columns A·u: no
     m-row copy of the design exists. One QR of all m x (p + n) entries read
     6.6 MB more ``peak_rss_mb`` in the benchmark at m = 5000, p + n = 60.
+    The buffer is column-major, like the library, so a block's copy, product
+    and ``+= 0.0`` run down contiguous columns; LAPACK reads the same values.
     With fewer than p + n rows, R has m rows. A non-finite R raises
     :class:`RegressionError`.
     """
     m, n = len(A), Z.shape[1]
     p = A.shape[1] * (1 if u is None else 2)
-    stack, k = np.empty((p + n + 512, p + n)), 0  # [R; next rows], R in the top k rows
+    stack, k = np.empty((p + n + 512, p + n), order="F"), 0  # [R; next rows], R in the top k rows
     for i in range(0, m, 512):
         rows = stack[k : k + min(512, m - i)]
         if u is None:
@@ -251,15 +253,19 @@ def _state_residuals(
 ) -> tuple[float, ...]:
     """||[Θ_f | Θ_f·u] W[:, l] - Ẋ[:, l]|| per state l, the design formed 512 rows at a time.
 
-    A lone last row joins the block before: numpy takes a one-row matrix
-    times a vector as a dot product, which sums in another order than gemv.
+    The block is formed column-major, as in :func:`_factor`, then copied to
+    row-major rows: gemv sums a row-major row as the whole-design product
+    did, and a column-major one in another order. For the same reason a lone
+    last row joins the block before: numpy takes a one-row matrix times a
+    vector as a dot product.
     """
     m, n = Xdot.shape
     res, rows = np.empty((n, m)), np.empty((min(513, m), len(W)))
     edges = [*range(0, max(m - 1, 1), 512), m]
     for i, j in zip(edges, edges[1:]):
-        block = rows[: j - i]
-        _design_rows(theta_f[i:j], u[i:j], block)
+        block, cols = rows[: j - i], np.empty((j - i, len(W)), order="F")
+        _design_rows(theta_f[i:j], u[i:j], cols)
+        block[...] = cols
         for l in range(n):
             np.subtract(block @ W[:, l], Xdot[i:j, l], out=res[l, i:j])
     return tuple(float(np.linalg.norm(r)) for r in res)
@@ -499,7 +505,8 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     chain = None if gc is None else relative_degree(ControlAffineSystem(f=f, g=g, c=c, n=n))
     diagnostics = Diagnostics(
         state_residuals=_state_residuals(ds.theta_f, d.U, W, d.Xdot),
-        output_residual=float(np.linalg.norm(ds.phi @ zeta - d.Y)),
+        # phi is column-major: gemv on its row-major copy sums as it always has
+        output_residual=float(np.linalg.norm(np.ascontiguousarray(ds.phi) @ zeta - d.Y)),
         constraint_residual=None if chain is None else max(
             e.max_abs_coefficient() for e in chain.lg_mixed[: cfg.relative_degree - 1]
         ),
@@ -568,7 +575,10 @@ def coefficient_table(model: SparseModel) -> tuple[list[str], list[list[float]],
             label_index[lab] = len(row_labels)
             row_labels.append(lab)
 
-    columns = [f"{block}_{l + 1}" for l in range(n) for block in ("xi_tilde", "xi_hat")]
+    columns = []
+    for l in range(n):
+        columns.append(f"xi_tilde_{l + 1}")
+        columns.append(f"xi_hat_{l + 1}")
     columns.append("zeta")
 
     rows = [[0.0] * len(columns) for _ in row_labels]

@@ -301,8 +301,9 @@ def _powers(values: list[float], p: int) -> np.ndarray:
 def evaluate_columns(exprs: Sequence[Expression], X: np.ndarray) -> np.ndarray:
     """Evaluate ``exprs`` at every row of ``X`` (m x n).
 
-    Returns an m x len(exprs) array whose column j equals
-    ``[exprs[j].evaluate(X[i]) for i in range(m)]`` bit for bit.
+    Returns an m x len(exprs) column-major array whose column j equals
+    ``[exprs[j].evaluate(X[i]) for i in range(m)]`` bit for bit; each
+    column is written, and later read, as one contiguous run.
 
     Each distinct atom column (``x_i^p`` or a trig atom) is computed once
     per call. A power is libm ``pow`` of each sample, called through
@@ -346,7 +347,7 @@ def evaluate_columns(exprs: Sequence[Expression], X: np.ndarray) -> np.ndarray:
                 atoms[key] = (np.sin if kind == "sin" else np.cos)(angles, out=angles)
         return atoms[key]
 
-    out = np.empty((m, len(exprs)))
+    out = np.empty((m, len(exprs)), order="F")
     total, value = np.empty(m), np.empty(m)
     for j, e in enumerate(exprs):
         if e.n_states != n:

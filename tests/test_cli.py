@@ -584,7 +584,7 @@ def test_closedloop_divergence_leaks_no_warning(tmp_path, model_path, capsys):
     assert code == EXIT_DIVERGENCE
     err = capsys.readouterr().err
     assert re.search(r"non-finite value at x=\[-?[\d.]+e\+\d+, -?[\d.]+e\+\d+\]", err)
-    assert "Warning" not in err and "np.float64" not in err
+    assert not re.search("warning", err, re.IGNORECASE) and "np.float64" not in err
 
 
 def test_synthesize_unstable_gains_warn_on_one_stderr_line(tmp_path, model_path, capsys):

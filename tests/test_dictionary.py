@@ -168,17 +168,18 @@ def test_input_library_keeps_signed_zeros_positive():
 
 def test_drift_and_output_libraries_share_one_buffer():
     # the input library is formed where the regression reads it, so the only
-    # m-row array is evaluate_columns' m x (p_x + p_y) result, read-only
+    # m-row array is evaluate_columns' m x (p_x + p_y) result, read-only;
+    # column-major, so a block of rows is read down contiguous columns
     d = random_dataset(m=60)
     ds = build_dictionaries(LibrarySpec(poly_order=3, trig_orders=(1,)), d)
     buffer = ds.theta_f.base
-    assert ds.phi.base is buffer and buffer.base is None
+    assert ds.phi.base is buffer and buffer.base is None and buffer.flags.f_contiguous
     assert np.shares_memory(buffer, ds.theta_f) and np.shares_memory(buffer, ds.phi)
     assert buffer.nbytes == d.m * (ds.p_x + ds.p_y) * 8
     assert not ds.theta_f.flags.writeable and not ds.phi.flags.writeable
 
 
-def test_input_overflow_check_is_per_sample():
+def test_input_overflow_check_is_per_sample(monkeypatch):
     # max |x1| and max |u| fall on different samples: their product is inf,
     # but no sample's x1 * u is, so the library builds and its input rows are
     # the per-sample products; the same x1 and u on one sample overflow
@@ -188,6 +189,17 @@ def test_input_overflow_check_is_per_sample():
     d = dataset_from_states(X, U=U)
     ds = build_dictionaries(spec, d)
     assert np.array_equal(state_design(ds, d)[:, ds.p_x :], input_library_oracle(ds, d))
+    with pytest.raises(ValueError, match=r"library entry x1\*u overflows a float"):
+        build_dictionaries(spec, dataset_from_states(X, U=[4.0] + U[1:]))
+
+    # an inf * 0 inside evaluate_columns leaves a NaN in the library, so the
+    # bound is NaN rather than inf: the exact check must still run
+    def with_nan(entries, X):
+        values = evaluate_columns(entries, X)
+        values[1, -1] = np.nan
+        return values
+
+    monkeypatch.setattr("sparsefl.dictionary.evaluate_columns", with_nan)
     with pytest.raises(ValueError, match=r"library entry x1\*u overflows a float"):
         build_dictionaries(spec, dataset_from_states(X, U=[4.0] + U[1:]))
 

@@ -527,6 +527,19 @@ def test_state_residuals_match_one_product_of_the_whole_design(m):
     assert _state_residuals(ds.theta_f, d.U, W, d.Xdot) == (0.0, 0.0)
 
 
+def test_output_residual_is_measured_on_row_major_rows():
+    # ds.phi is a column-major view, on which gemv sums each row in another
+    # order: the residual stays that of the row-major product
+    d = integrate(vdp_system(1, 1, 1), [2.0, 0.0], default_excitation(), 0.01, 699)
+    x1 = d.X[:, 0]  # an output with three terms, so the products round
+    d = Dataset(d.times, d.X, d.U, 0.3 + 1.7 * x1 - 0.45 * x1**2, Xdot=d.Xdot)
+    ds = build_dictionaries(LibrarySpec(), d)
+    model = solve(ds, d, RegressionConfig())
+    assert np.count_nonzero(model.zeta) == 3
+    rows = np.array(ds.phi, order="C")
+    assert model.diagnostics.output_residual == float(np.linalg.norm(rows @ model.zeta - d.Y))
+
+
 def test_emptied_input_channel_raises():
     # true input gain 0.3 sits below the threshold 0.4: an all-zero input
     # channel admits no linearizing law, so the solve fails and says why
