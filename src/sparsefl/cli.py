@@ -604,7 +604,7 @@ def _run(args: argparse.Namespace) -> int:
     except RelativeDegreeError as exc:  # a ValueError: keep it before the next handler
         print(f"relative-degree failure: {exc}", file=sys.stderr)
         return EXIT_RELATIVE_DEGREE
-    except ValueError as exc:  # ConfigError and DatasetError included
+    except (ValueError, OSError) as exc:  # ConfigError, DatasetError and a bad path included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

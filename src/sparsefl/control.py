@@ -139,17 +139,20 @@ class ControllerSpec:
     def control_value(self, x: Sequence[float], reference: ReferenceSignal, t: float) -> float:
         """Evaluate the law at state ``x`` and time ``t``."""
         r = self.relative_degree
-        v = reference.derivative(t, r)
-        for i in range(r):
-            v += self.gains[i] * (reference.derivative(t, i) - self.lf_chain[i].evaluate(x))
-        b = self.beta.evaluate(x)
-        if abs(b) < _BETA_RUNTIME_TOL:
-            what = f"decoupling term {format_expression(self.beta, digits=4)} vanished"
-        else:
-            u = (-self.alpha.evaluate(x) + v) / b
-            if math.isfinite(u):
-                return u
-            what = "control law produced non-finite value"
+        what = "control law produced non-finite value"
+        try:
+            v = reference.derivative(t, r)
+            for i in range(r):
+                v += self.gains[i] * (reference.derivative(t, i) - self.lf_chain[i].evaluate(x))
+            b = self.beta.evaluate(x)
+            if abs(b) < _BETA_RUNTIME_TOL:
+                what = f"decoupling term {format_expression(self.beta, digits=4)} vanished"
+            else:
+                u = (-self.alpha.evaluate(x) + v) / b
+                if math.isfinite(u):
+                    return u
+        except OverflowError:  # a power or a trig angle beyond the float range
+            pass
         raise ControlSingularityError(f"{what} at x={list(map(float, x))}")
 
     def law_string(self, digits: int | None = 4) -> str:

@@ -106,6 +106,7 @@ class Diagnostics:
     active_counts: dict = field(default_factory=dict)
     alt_iterations: int = 0
     stls_iterations: int = 0
+    checks: dict = field(default_factory=dict)  # name: [value, bound] per row of _checks
 
     def to_dict(self) -> dict:
         """The fields in order, tuples as lists."""
@@ -407,6 +408,29 @@ class GeneralConstraint:
 # -- main solver ----------------------------------------------------------------
 
 
+def _checks(ds, d, cfg, W, zeta, change, chain, c) -> list[tuple]:
+    """The rows (name, value, bound, error, message) that accept a model; a message fails it."""
+    y_max = float(np.max(np.abs(zeta), initial=0.0))
+    xi_max = float(np.max(np.abs(W[ds.p_x :]), initial=0.0)) if np.max(np.abs(d.U)) > 0.0 else None
+    r = None if chain is None else chain.relative_degree
+    return [
+        # the alternation stops at its first step below ALT_TOL: a last change above it still moved
+        ("alternation_change", change, ALT_TOL, RegressionError,
+         None if change is None or change < ALT_TOL else
+         f"alternating solver did not converge in {ALT_STEPS} iterations"),
+        # STLS returns all-zero coefficients only for a right-hand side within 1e-12 of zero
+        ("output_coefficient", y_max, 0.0, RegressionError, None if y_max != 0.0 else
+         f"output Y is zero (max |Y| = {np.max(np.abs(d.Y)):.3g}); c cannot be identified"),
+        # an all-zero input channel makes every mixed Lie derivative vanish: no linearizing law
+        ("input_coefficient", xi_max, 0.0, InfeasibleSparsityError, None if xi_max != 0.0 else
+         "threshold removed every input-channel candidate; lower lambda"),
+        ("relative_degree", r, cfg.relative_degree, RegressionError,
+         None if chain is None or r == cfg.relative_degree else
+         f"the identified model certifies relative degree {r}, not {cfg.relative_degree} "
+         f"(y = {format_expression(c, digits=4)})"),
+    ]
+
+
 def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     """Run the joint sparse regression and reconstruct the symbolic model.
 
@@ -424,13 +448,9 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     the constraint acts on, unidentifiable. Only a zero input with the
     constraint off passes; it returns the drift and g = 0.
 
-    The :class:`Diagnostics` record is built once, after the solve, from
-    the certifier's chain, which stops at the first nonzero Lg Lf^k c. An
-    alternation still moving after ``ALT_STEPS`` steps, an output Y that is
-    zero, an all-zero input channel under a nonzero input (no linearizing
-    law exists), or a constrained model that :func:`lie.relative_degree`
-    does not certify at r (a constant output included) raises
-    :class:`RegressionError` carrying that full record.
+    The :class:`Diagnostics` record is built once, after the solve, from the
+    certifier's chain, which stops at the first nonzero Lg Lf^k c. The first
+    failing row of :func:`_checks` raises its error carrying that full record.
     """
     if d.Xdot is None:
         raise RegressionError("dataset has no derivatives; estimate or measure Xdot first")
@@ -475,8 +495,7 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     for l in range(n):
         states_stls(W_init, [l], None)
     W = W_init
-    alt_iters = 0
-    moving = False
+    alt_iters, change = 0, None
 
     if gc is not None:
         for alt_iters in range(1, ALT_STEPS + 1):
@@ -489,10 +508,9 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
                 states_stls(W, states, C)
             C = gc.zeta_rows(W[:p_x], W[p_x:])
             zeta = stls(phi_qr, d.Y, C, "the output equation")
-            if max(np.max(np.abs(W - W_prev)), np.max(np.abs(zeta - zeta_prev))) < ALT_TOL:
+            change = float(max(np.max(np.abs(W - W_prev)), np.max(np.abs(zeta - zeta_prev))))
+            if change < ALT_TOL:
                 break
-        else:
-            moving = True
     xi_tilde, xi_hat = W[:p_x], W[p_x:]
 
     # Y fixes the output scale and the constraint is homogeneous in zeta, so
@@ -503,6 +521,7 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
 
     f, g, c = _reconstruct(ds, xi_tilde, xi_hat, zeta)
     chain = None if gc is None else relative_degree(ControlAffineSystem(f=f, g=g, c=c, n=n))
+    checks = _checks(ds, d, cfg, W, zeta, change, chain, c)
     diagnostics = Diagnostics(
         state_residuals=_state_residuals(ds.theta_f, d.U, W, d.Xdot),
         # phi is column-major: gemv on its row-major copy sums as it always has
@@ -517,30 +536,11 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
         },
         alt_iterations=alt_iters,
         stls_iterations=sweeps,
+        checks={name: [value, bound] for name, value, bound, _, _ in checks},
     )
-    if moving:
-        raise RegressionError(
-            f"alternating solver did not converge in {ALT_STEPS} iterations",
-            diagnostics,
-        )
-    # STLS returns all-zero coefficients only for a right-hand side within 1e-12 of zero
-    if not zeta.any():
-        raise RegressionError(
-            f"output Y is zero (max |Y| = {np.max(np.abs(d.Y)):.3g}); c cannot be identified",
-            diagnostics,
-        )
-    # an all-zero input channel makes every mixed Lie derivative vanish, so
-    # no feedback-linearizing law exists for the model
-    if np.max(np.abs(xi_hat), initial=0.0) == 0.0 and np.max(np.abs(d.U)) > 0.0:
-        raise InfeasibleSparsityError(
-            "threshold removed every input-channel candidate; lower lambda", diagnostics
-        )
-    if chain is not None and chain.relative_degree != cfg.relative_degree:
-        raise RegressionError(
-            f"the identified model certifies relative degree {chain.relative_degree}, "
-            f"not {cfg.relative_degree} (y = {format_expression(c, digits=4)})",
-            diagnostics,
-        )
+    for _, _, _, error, message in checks:
+        if message is not None:
+            raise error(message, diagnostics)
     return SparseModel(
         xi_tilde=xi_tilde,
         xi_hat=xi_hat,

@@ -110,6 +110,8 @@ class Term:
                 value *= x[i] ** p
         for kind, freq, var in self.trig_atoms:
             angle = freq * x[var]
+            if math.isinf(angle):  # an overflow, as for a power; math.sin(inf) is a domain error
+                raise OverflowError(f"angle {freq}*x{var + 1} overflows a float")
             value *= math.sin(angle) if kind == "sin" else math.cos(angle)
         return value
 
@@ -312,9 +314,10 @@ def evaluate_columns(exprs: Sequence[Expression], X: np.ndarray) -> np.ndarray:
     scalar ``OverflowError``. ``v ** 1`` is ``v`` itself, so power-1 atoms
     are the state columns. A trig atom is ``np.sin``/``np.cos`` of
     ``X[:, v] * float(freq)``, the same IEEE multiply as the scalar
-    ``freq * v``. That numpy's float64 sin/cos loop returns what
-    ``math.sin``/``math.cos`` return was verified on numpy 2.4.6 (its
-    X86_V4 loop, over 10^6 to 10^7 samples), not proven; the tests pin it.
+    ``freq * v``, and an infinite angle raises the scalar ``OverflowError``.
+    That numpy's float64 sin/cos loop returns what ``math.sin``/``math.cos``
+    return was verified on numpy 2.4.6 (its X86_V4 loop, over 10^6 to 10^7
+    samples), not proven; the tests pin it.
     Term columns are then formed by multiplying the coefficient by the atom
     columns in :meth:`Term.evaluate`'s factor order, and summed from +0.0
     in term order; elementwise IEEE multiply and add round exactly as the
@@ -343,7 +346,10 @@ def evaluate_columns(exprs: Sequence[Expression], X: np.ndarray) -> np.ndarray:
                     atoms[key] = _powers(floats[i], p)
             else:
                 kind, freq, var = key
-                angles = X[:, var] * float(freq)
+                with np.errstate(over="ignore"):  # an infinite angle raises below
+                    angles = X[:, var] * float(freq)
+                if np.isinf(angles).any():
+                    raise OverflowError(f"angle {freq}*x{var + 1} overflows a float")
                 atoms[key] = (np.sin if kind == "sin" else np.cos)(angles, out=angles)
         return atoms[key]
 

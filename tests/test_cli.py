@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import dataclasses
 import json
@@ -20,6 +21,7 @@ from sparsefl.cli import (
     EXIT_RELATIVE_DEGREE,
     PipelineConfig,
     _summarize,
+    cmd_identify,
     default_config,
     main,
 )
@@ -28,7 +30,7 @@ from sparsefl.data import save_csv
 from sparsefl.dictionary import LibrarySpec
 from sparsefl.dynamics import vdp_system
 from sparsefl.lie import relative_degree
-from sparsefl.regression import RegressionConfig
+from sparsefl.regression import ALT_TOL, RegressionConfig
 from sparsefl.symexpr import Expression
 
 
@@ -41,6 +43,11 @@ def write_config(tmp_path, overrides=None, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return path
+
+
+def stderr_checks(err):
+    """The ``checks`` of the ``diagnostics:`` line an identification failure prints."""
+    return ast.literal_eval(err.split("diagnostics: ", 1)[1].splitlines()[0])["checks"]
 
 
 # -- defaults ---------------------------------------------------------------------------
@@ -272,6 +279,21 @@ def test_identify_recovers_demo_model(tmp_path, dataset_path):
     assert float(by_entry["x1"][4]) == 1.0
 
 
+def test_demo_model_reports_every_check_passing(tmp_path, vdp_dataset):
+    # solve's acceptance checks in order, each row [value, bound], in the
+    # returned model, in model.json and in identify_report.txt
+    model = cmd_identify(vdp_dataset, PipelineConfig({}), tmp_path)
+    checks = model.diagnostics.checks
+    names = ["alternation_change", "output_coefficient", "input_coefficient", "relative_degree"]
+    assert list(checks) == names
+    (change, tol), (zeta_max, zero), (xi_max, zero_u), (r, want) = checks.values()
+    assert change < tol == ALT_TOL
+    assert zeta_max > zero == 0.0 and xi_max > zero_u == 0.0
+    assert r == want == 2
+    assert json.loads((tmp_path / "model.json").read_text())["diagnostics"]["checks"] == checks
+    assert f"\n  checks: {checks}\n" in (tmp_path / "identify_report.txt").read_text()
+
+
 def test_identify_overlarge_lambda_fails_with_code_three(tmp_path, dataset_path):
     code = run(["identify", "--data", dataset_path, "--out", tmp_path, "--lambda", "10"])
     assert code == EXIT_IDENTIFICATION
@@ -287,13 +309,18 @@ def test_identify_emptied_input_channel_fails_with_code_three(tmp_path, capsys):
     assert code == EXIT_IDENTIFICATION
     err = capsys.readouterr().err
     assert "every input-channel candidate" in err and "diagnostics:" in err
+    assert stderr_checks(err)["input_coefficient"] == [0.0, 0.0]
     assert not (tmp_path / "model.json").exists()
 
 
 @pytest.mark.parametrize(
     "x1, library, entry",
-    [("1e110", {}, "x1^3"), ("1.5e308", {"poly_order": 1, "output_poly_order": 1}, "x1*u")],
-    ids=["power", "input-column"],
+    [
+        ("1e110", {}, "x1^3"),
+        ("1.5e308", {"poly_order": 1, "output_poly_order": 1}, "x1*u"),
+        ("1e308", {"poly_order": 1, "trig_orders": [2], "output_poly_order": 1}, "sin(2*x1)"),
+    ],
+    ids=["power", "input-column", "trig-angle"],
 )
 def test_identify_overflowing_library_entry_is_config_error(
     tmp_path, dataset_path, capsys, x1, library, entry
@@ -347,6 +374,7 @@ def test_identify_constant_output_fails_with_code_three(tmp_path, capsys):
     assert code == EXIT_IDENTIFICATION
     err = capsys.readouterr().err
     assert "certifies relative degree None, not 3 (y = 0.5308)" in err and "diagnostics:" in err
+    assert stderr_checks(err)["relative_degree"] == [None, 3]
     assert not (out / "model.json").exists()
 
 
@@ -385,6 +413,27 @@ def test_bad_regression_settings_are_config_errors(
 def test_identify_missing_dataset_is_config_error(tmp_path):
     code = run(["identify", "--data", tmp_path / "nope.csv", "--out", tmp_path])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "args, bad",
+    [
+        (["identify", "--data", "adir", "--out", "run"], "adir"),
+        (["lie", "--model", "adir", "--out", "run"], "adir"),
+        (["pipeline", "--config", "adir", "--out", "run"], "adir"),
+        (["simulate", "--out", "afile"], "afile"),
+        (["defaults", "--out", "missing/x.json"], "missing/x.json"),
+    ],
+    ids=["data-dir", "model-dir", "config-dir", "out-file", "out-missing-dir"],
+)
+def test_unusable_path_is_one_config_error_line(tmp_path, monkeypatch, capsys, args, bad):
+    # each used to leave main as an OSError traceback, exit 1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("")
+    assert run(args) == EXIT_CONFIG
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: ") and bad in line
 
 
 # -- lie / synthesize ----------------------------------------------------------------------
@@ -479,6 +528,8 @@ def test_identify_non_converged_prints_full_diagnostics(
     diagnostics = err.split("diagnostics: ", 1)[1]
     assert "'state_residuals': [" in diagnostics and "'state_residuals': []" not in diagnostics
     assert "'active_counts': {'xi_tilde'" in diagnostics
+    change, bound = stderr_checks(err)["alternation_change"]
+    assert change >= bound == ALT_TOL
     assert not (out / "model.json").exists()
 
 
@@ -585,6 +636,22 @@ def test_closedloop_divergence_leaks_no_warning(tmp_path, model_path, capsys):
     err = capsys.readouterr().err
     assert re.search(r"non-finite value at x=\[-?[\d.]+e\+\d+, -?[\d.]+e\+\d+\]", err)
     assert not re.search("warning", err, re.IGNORECASE) and "np.float64" not in err
+
+
+@pytest.mark.parametrize(
+    "term, x1", [("sin(2*x1)", 1e308), ("x1^3", 1e200)], ids=["trig-angle", "power"]
+)
+def test_closedloop_overflowing_law_is_divergence(tmp_path, capsys, term, x1):
+    # a chain term beyond the float range at the start state: the trig angle
+    # used to reach math.sin(inf), a "math domain error" config error (exit 2)
+    spec = synthesize(relative_degree(vdp_system(1, 1, 1)), gains=[5.0, 4.0]).to_dict()
+    spec["lf_chain"] = [term, "x2"]
+    controller = tmp_path / "controller.json"
+    controller.write_text(json.dumps(spec))
+    cfg = write_config(tmp_path, {"stabilization": {"x0": [x1, 0.0]}})
+    code = run(["closedloop", "--controller", controller, "--config", cfg, "--out", tmp_path])
+    assert code == EXIT_DIVERGENCE
+    assert f"control law produced non-finite value at x=[{x1!r}, 0.0]" in capsys.readouterr().err
 
 
 def test_synthesize_unstable_gains_warn_on_one_stderr_line(tmp_path, model_path, capsys):

@@ -470,6 +470,7 @@ def test_zero_output_raises_in_every_mode(vdp_data, cfg):
         solve(build_dictionaries(LibrarySpec(), d), d, cfg)
     assert type(info.value) is RegressionError
     assert info.value.diagnostics.active_counts["zeta"] == 0
+    assert info.value.diagnostics.checks["output_coefficient"] == [0.0, 0.0]
 
 
 def test_missing_derivatives_raises(vdp_dicts):
@@ -557,6 +558,7 @@ def test_emptied_input_channel_raises():
     with pytest.raises(InfeasibleSparsityError, match="every input-channel candidate") as err:
         solve(ds, d, RegressionConfig(lam=0.4, constraint_mode="none"))
     assert err.value.diagnostics.active_counts["xi_hat"] == [0, 0]
+    assert err.value.diagnostics.checks["input_coefficient"] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("poly_order", [3, 5])
@@ -571,6 +573,7 @@ def test_emptied_input_channel_raises_on_trig_library(poly_order):
     diagnostics = err.value.diagnostics
     assert diagnostics.active_counts["xi_hat"] == [0, 0]
     assert diagnostics.constraint_residual == 0.0
+    assert diagnostics.checks["input_coefficient"] == [0.0, 0.0]
 
 
 # -- support recovery on randomized systems ---------------------------------------------------
@@ -820,6 +823,7 @@ def test_constant_output_raises(vdp_data):
     diagnostics = err.value.diagnostics
     assert diagnostics.constraint_residual == 0.0
     assert diagnostics.active_counts == free.diagnostics.active_counts
+    assert diagnostics.checks["relative_degree"] == [None, 2]
 
 
 GRID_PLANTS = {
@@ -889,6 +893,8 @@ def test_non_converged_error_carries_full_diagnostics(monkeypatch):
     assert len(diagnostics.state_residuals) == 2
     assert set(diagnostics.active_counts) == {"xi_tilde", "xi_hat", "zeta"}
     assert len(diagnostics.active_counts["xi_tilde"]) == 2
+    change, bound = diagnostics.checks["alternation_change"]
+    assert change >= bound == regression.ALT_TOL
 
 
 # -- reporting / serialization ------------------------------------------------------------------

@@ -378,11 +378,13 @@ def test_evaluate_columns_is_bitwise_scalar_in_bulk():
     [
         (Expression.monomial((3, 0)), [[1.0, 0.0], [1e200, 0.0]]),
         (Expression.monomial((1, 2)), [[1.0, 0.0], [2.0, -1e200]]),
+        (Expression.trig("sin", 2, 0, 2), [[1.0, 0.0], [1e308, 0.0]]),
     ],
 )
 def test_evaluate_columns_overflow_raises_like_evaluate(expr, X):
     # a power that overflows raises, as the scalar ``v ** p`` does; np.power
-    # would return inf instead
+    # would return inf instead. An infinite trig angle raises in both, where
+    # np.sin would warn and return NaN and math.sin raise a domain error
     with pytest.raises(OverflowError) as scalar:
         expr.evaluate(X[1])
     with pytest.raises(OverflowError) as columns:
