@@ -21,12 +21,10 @@ from .dynamics import (
     ControlAffineSystem,
     DivergenceError,
     chain_integrator_system,
-    constant_input,
     integrate,
     simulate_closed_loop,
     sine_sum_input,
     vdp_system,
-    zero_input,
 )
 from .lie import LieChain, RelativeDegreeError, lie_derivative, relative_degree
 from .regression import (

@@ -166,19 +166,14 @@ class PipelineConfig:
             [real(v, f"excitation.{key}") for v in section[key]]
             for key in ("amplitudes", "frequencies", "phases")
         )
-        reads_first = {"constant": ("amplitudes",), "chirp": ("amplitudes", "frequencies")}
-        for key in reads_first.get(kind, ()):
-            if not section[key]:
-                raise ConfigError(f"excitation.{key} must not be empty for a {kind} excitation")
-        if kind == "zero":
-            return dynamics.zero_input()
-        if kind == "constant":
-            return dynamics.constant_input(amps[0])
         if kind == "sine_sum":
             return dynamics.sine_sum_input(amps, freqs, phases)
         if kind == "chirp":
+            for key in ("amplitudes", "frequencies"):
+                if not section[key]:
+                    raise ConfigError(f"excitation.{key} must not be empty for a chirp excitation")
             return dynamics.chirp_input(amps[0], freqs[0], real(section["rate"], "excitation.rate"))
-        raise ConfigError(f"unknown excitation kind {kind!r}")
+        raise ConfigError(f"unknown excitation kind {kind!r} (available: sine_sum, chirp)")
 
     @staticmethod
     def _build_controller(section: dict) -> tuple[tuple | None, tuple | None]:
@@ -345,11 +340,12 @@ def cmd_identify(d: data.Dataset, cfg: PipelineConfig, out_dir: Path) -> SparseM
     return model
 
 
-def cmd_lie(system: ControlAffineSystem, out_dir: Path) -> lie.LieChain:
-    chain = lie.relative_degree(system)
+def cmd_lie(chain: lie.LieChain, out_dir: Path) -> lie.LieChain:
+    """Write a model's Lie chain to lie.json and lie_report.txt; return it if it has a degree."""
+    n = chain.n_states
     payload = {
         "relative_degree": chain.relative_degree,
-        "n_states": system.n,
+        "n_states": n,
         "lf_powers": [str(e) for e in chain.lf_powers],
         "lg_mixed": [str(e) for e in chain.lg_mixed],
     }
@@ -363,19 +359,19 @@ def cmd_lie(system: ControlAffineSystem, out_dir: Path) -> lie.LieChain:
     if chain.relative_degree is None:
         lines.append("relative degree: undefined")
     else:
-        lines.append(f"relative degree: {chain.relative_degree} (state dimension {system.n})")
-        if chain.relative_degree == system.n:
-            coords = chain.lf_powers[: system.n]
+        lines.append(f"relative degree: {chain.relative_degree} (state dimension {n})")
+        if chain.relative_degree == n:
+            coords = chain.lf_powers[:n]
             payload["normal_form"] = [str(e) for e in coords]
             lines.append("normal-form coordinates:")
             for i, e in enumerate(coords):
                 lines.append(f"  z{i + 1} = {fmt(e, digits=6)}")
             lines.append("transformed dynamics:")
-            for i in range(system.n - 1):
+            for i in range(n - 1):
                 lines.append(f"  dz{i + 1}/dt = z{i + 2}")
             lines.append(
-                f"  dz{system.n}/dt = {fmt(chain.lf_powers[system.n], digits=6)}"
-                f" + ({fmt(chain.lg_mixed[system.n - 1], digits=6)})*u"
+                f"  dz{n}/dt = {fmt(chain.lf_powers[n], digits=6)}"
+                f" + ({fmt(chain.lg_mixed[n - 1], digits=6)})*u"
             )
             lines.append("  y = z1")
     _write_json(out_dir / "lie.json", payload)
@@ -412,7 +408,8 @@ def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
     true_traj = cmd_simulate(cfg, out_dir)
     model = cmd_identify(true_traj, cfg, out_dir)
     identified = model.system()
-    chain = cmd_lie(identified, out_dir)
+    # certified by solve, unless constraint_mode is "none"
+    chain = cmd_lie(model.chain or lie.relative_degree(identified), out_dir)
     spec = cmd_synthesize(chain, cfg, out_dir)
     stabilization = cmd_closedloop(spec, cfg, out_dir, "stabilization")
     cmd_closedloop(spec, cfg, out_dir, "tracking")
@@ -577,7 +574,7 @@ def _run(args: argparse.Namespace) -> int:
             cmd_identify(_read_dataset(Path(args.data)), cfg, out_dir)
             print(f"wrote {out_dir / 'model.json'}")
         elif args.command == "lie":
-            cmd_lie(_read_model(Path(args.model)), out_dir)
+            cmd_lie(lie.relative_degree(_read_model(Path(args.model))), out_dir)
             print(f"wrote {out_dir / 'lie.json'}")
         elif args.command == "synthesize":
             chain = lie.relative_degree(_read_model(Path(args.model)))

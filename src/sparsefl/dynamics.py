@@ -23,8 +23,6 @@ from .symexpr import Expression
 __all__ = [
     "ControlAffineSystem",
     "DivergenceError",
-    "zero_input",
-    "constant_input",
     "sine_sum_input",
     "chirp_input",
     "vdp_system",
@@ -78,15 +76,6 @@ class ControlAffineSystem:
 
     def output(self, x: Sequence[float]) -> float:
         return self.c.evaluate(x)
-
-
-def zero_input() -> _Input:
-    return lambda t, x: 0.0
-
-
-def constant_input(value: float) -> _Input:
-    v = float(value)
-    return lambda t, x: v
 
 
 def sine_sum_input(

@@ -36,7 +36,7 @@ import numpy as np
 from .data import Dataset
 from .dictionary import DictionarySet, check_fields, integer
 from .dynamics import ControlAffineSystem
-from .lie import lie_derivative, relative_degree
+from .lie import LieChain, lie_derivative, relative_degree
 from .symexpr import Expression, format_expression, format_terms, parse_expression
 
 __all__ = [
@@ -79,21 +79,20 @@ class RegressionConfig:
     """Sparse-regression knobs: the config's ``regression`` keys, ``lam`` spelled ``lambda``."""
 
     lam: float = 0.05
-    constraint_mode: str = "coefficients"  # coefficients | none
-    relative_degree: int = 2
+    constraint_mode: str = "coefficients"  # coefficients | none: skip constraint and certification
+    relative_degree: int | None = None  # None: the data's state dimension n
 
     def __post_init__(self) -> None:
         check_fields(self)  # NaN passes every ordered comparison below
         if self.lam < 0:
             raise ValueError("lam must be non-negative")
-        if self.relative_degree < 1:
-            raise ValueError("relative_degree must be at least 1")
+        if self.relative_degree is not None:
+            r = integer(self.relative_degree, "relative_degree")
+            if r < 1:
+                raise ValueError("relative_degree must be at least 1")
+            object.__setattr__(self, "relative_degree", r)
         if self.constraint_mode not in ("coefficients", "none"):
             raise ValueError(f"unknown constraint_mode {self.constraint_mode!r}")
-
-    @property
-    def constraint_enabled(self) -> bool:
-        return self.constraint_mode != "none" and self.relative_degree >= 2
 
 
 @dataclass
@@ -125,6 +124,7 @@ class SparseModel:
     c: Expression
     diagnostics: Diagnostics
     dictionaries: DictionarySet
+    chain: LieChain | None  # the certifier's chain of (f, g, c); None with constraint_mode "none"
 
     @property
     def n(self) -> int:
@@ -408,14 +408,17 @@ class GeneralConstraint:
 # -- main solver ----------------------------------------------------------------
 
 
-def _checks(ds, d, cfg, W, zeta, change, chain, c) -> list[tuple]:
-    """The rows (name, value, bound, error, message) that accept a model; a message fails it."""
+def _checks(ds, d, r, W, zeta, change, chain, c) -> list[tuple]:
+    """The rows (name, value, bound, error, message) that accept a model; a message fails it.
+
+    A row that was skipped (no alternation ran, no certification) has bound None.
+    """
     y_max = float(np.max(np.abs(zeta), initial=0.0))
     xi_max = float(np.max(np.abs(W[ds.p_x :]), initial=0.0)) if np.max(np.abs(d.U)) > 0.0 else None
-    r = None if chain is None else chain.relative_degree
+    certified = None if chain is None else chain.relative_degree
     return [
         # the alternation stops at its first step below ALT_TOL: a last change above it still moved
-        ("alternation_change", change, ALT_TOL, RegressionError,
+        ("alternation_change", change, None if change is None else ALT_TOL, RegressionError,
          None if change is None or change < ALT_TOL else
          f"alternating solver did not converge in {ALT_STEPS} iterations"),
         # STLS returns all-zero coefficients only for a right-hand side within 1e-12 of zero
@@ -424,9 +427,9 @@ def _checks(ds, d, cfg, W, zeta, change, chain, c) -> list[tuple]:
         # an all-zero input channel makes every mixed Lie derivative vanish: no linearizing law
         ("input_coefficient", xi_max, 0.0, InfeasibleSparsityError, None if xi_max != 0.0 else
          "threshold removed every input-channel candidate; lower lambda"),
-        ("relative_degree", r, cfg.relative_degree, RegressionError,
-         None if chain is None or r == cfg.relative_degree else
-         f"the identified model certifies relative degree {r}, not {cfg.relative_degree} "
+        ("relative_degree", certified, None if chain is None else r, RegressionError,
+         None if chain is None or certified == r else
+         f"the identified model certifies relative degree {certified}, not {r} "
          f"(y = {format_expression(c, digits=4)})"),
     ]
 
@@ -436,32 +439,37 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
 
     The coefficients live in one (p_x + p_u) x n array W whose column l is
     [xi_tilde_l; xi_hat_l]. Output and state coefficients are initialized by
-    unconstrained sequential thresholded least squares; when the
-    relative-degree constraint is enabled the solver then alternates
-    constrained steps (each linear in its block) until no coefficient moves
-    by ``ALT_TOL``, and a largest output coefficient within rounding of 1 is
-    divided out.
+    unconstrained sequential thresholded least squares. The requested r is
+    ``cfg.relative_degree``, or the data's n when that is None. Unless
+    ``cfg.constraint_mode`` is ``"none"``, the one setting that skips the
+    constraint and the certification, r >= 2 then alternates constrained
+    steps (each linear in its block) until no coefficient moves by
+    ``ALT_TOL``, and divides out a largest output coefficient within
+    rounding of 1; r = 1 constrains no level but is still certified.
 
     Before any sweep, a constant input raises :class:`RegressionError`: a
     nonzero one makes each input column that constant times its drift
     column, so f and g cannot be separated, and a zero one leaves g, which
-    the constraint acts on, unidentifiable. Only a zero input with the
+    the certification needs, unidentifiable. Only a zero input with the
     constraint off passes; it returns the drift and g = 0.
 
     The :class:`Diagnostics` record is built once, after the solve, from the
-    certifier's chain, which stops at the first nonzero Lg Lf^k c. The first
+    certifier's chain, which stops at the first nonzero Lg Lf^k c and which
+    the returned model keeps (None when nothing was certified). The first
     failing row of :func:`_checks` raises its error carrying that full record.
     """
     if d.Xdot is None:
         raise RegressionError("dataset has no derivatives; estimate or measure Xdot first")
+    r = d.n if cfg.relative_degree is None else cfg.relative_degree
+    certify = cfg.constraint_mode != "none"
     gc = None
-    if cfg.constraint_enabled:
+    if certify and r >= 2:
         try:  # before any STLS: a relative degree above n fails fast
-            gc = GeneralConstraint(ds, cfg.relative_degree)
+            gc = GeneralConstraint(ds, r)
         except ValueError as exc:
             raise RegressionError(str(exc)) from None
     u = float(d.U[0])
-    if (u != 0.0 or gc is not None) and d.U.min() == d.U.max():
+    if (u != 0.0 or certify) and d.U.min() == d.U.max():
         why = (
             f"input u is constant ({u!r}), so each input column is that constant times "
             "its drift column and f and g cannot be separated"
@@ -520,14 +528,14 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
         zeta = zeta / pivot
 
     f, g, c = _reconstruct(ds, xi_tilde, xi_hat, zeta)
-    chain = None if gc is None else relative_degree(ControlAffineSystem(f=f, g=g, c=c, n=n))
-    checks = _checks(ds, d, cfg, W, zeta, change, chain, c)
+    chain = relative_degree(ControlAffineSystem(f=f, g=g, c=c, n=n)) if certify else None
+    checks = _checks(ds, d, r, W, zeta, change, chain, c)
     diagnostics = Diagnostics(
         state_residuals=_state_residuals(ds.theta_f, d.U, W, d.Xdot),
         # phi is column-major: gemv on its row-major copy sums as it always has
         output_residual=float(np.linalg.norm(np.ascontiguousarray(ds.phi) @ zeta - d.Y)),
         constraint_residual=None if chain is None else max(
-            e.max_abs_coefficient() for e in chain.lg_mixed[: cfg.relative_degree - 1]
+            (e.max_abs_coefficient() for e in chain.lg_mixed[: r - 1]), default=None
         ),
         active_counts={
             "xi_tilde": np.count_nonzero(xi_tilde, axis=0).tolist(),
@@ -550,6 +558,7 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
         c=c,
         diagnostics=diagnostics,
         dictionaries=ds,
+        chain=chain,
     )
 
 

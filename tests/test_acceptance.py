@@ -21,7 +21,6 @@ from sparsefl.dynamics import (
     integrate,
     simulate_closed_loop,
     vdp_system,
-    zero_input,
 )
 from sparsefl.lie import lie_derivative, relative_degree
 from sparsefl.regression import GeneralConstraint, RegressionConfig, solve
@@ -323,7 +322,7 @@ def test_criterion_10_integrator_order():
     )
 
     def err(dt, steps):
-        traj = integrate(decay, [1.0], zero_input(), dt, steps)
+        traj = integrate(decay, [1.0], lambda t, x: 0.0, dt, steps)
         return abs(traj.X[-1, 0] - math.exp(-1.0))
 
     e1, e2 = err(0.01, 100), err(0.005, 200)

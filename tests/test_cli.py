@@ -59,6 +59,7 @@ def test_defaults_prints_json(capsys):
     assert payload["regression"]["lambda"] == 0.05
     assert payload["simulation"]["steps"] == 99
     assert payload["controller"]["gains"] == [5.0, 4.0]
+    assert payload["regression"]["relative_degree"] is None  # the state dimension n
 
 
 def test_defaults_to_file(tmp_path):
@@ -154,10 +155,23 @@ NAN = float("nan")
         (["pipeline"], {"excitation": {"amplitudes": ["1", "1", "1"]}}, "amplitudes"),
         (["pipeline"], {"controller": {"gains": [True, 4.0]}}, "gains"),
         (["pipeline"], {"controller": {"gains": None, "poles": [["-1", 0], -2]}}, "poles"),
-        (["simulate"], {"excitation": {"kind": "constant", "amplitudes": []}}, "excitation.amplitudes"),
+        (["simulate"], {"excitation": {"kind": "chirp", "amplitudes": []}}, "excitation.amplitudes"),
         (["simulate"], {"simulation": {"dt": 10**400}}, "dt"),
         (["simulate"], {"excitation": {"kind": "chirp", "frequencies": []}}, "excitation.frequencies"),
         (["simulate"], {"excitation": {"amplitudes": 5}}, "excitation.amplitudes"),
+        # removed excitation kinds: no pipeline could identify a model from them
+        (
+            ["pipeline"],
+            {"excitation": {"kind": "constant", "amplitudes": [1.0]}},
+            "unknown excitation kind 'constant' (available: sine_sum, chirp)",
+        ),
+        (
+            ["pipeline"],
+            {"excitation": {"kind": "constant", "amplitudes": [1.0]},
+             "regression": {"constraint_mode": "none"}},
+            "unknown excitation kind 'constant'",
+        ),
+        (["pipeline"], {"excitation": {"kind": "zero"}}, "unknown excitation kind 'zero'"),
         # removed LibrarySpec fields, with values the spec used to accept
         (
             ["pipeline"],
@@ -177,8 +191,9 @@ NAN = float("nan")
         "flag-string", "flag-word", "poly-order-float", "relative-degree-bool",
         "trig-orders-repeated", "steps-float", "scenario-steps-float", "seed-float",
         "dt-string", "x0-strings", "x0-bool", "system-param-string", "amplitude-string",
-        "excitation-strings", "gain-bool", "pole-string", "constant-amplitude-missing",
+        "excitation-strings", "gain-bool", "pole-string", "chirp-amplitude-missing",
         "dt-overflow", "chirp-frequency-missing", "amplitudes-not-list",
+        "constant-kind-removed", "constant-kind-removed-unconstrained", "zero-kind-removed",
         "normalize-columns-removed", "include-constant-removed",
     ],
 )
@@ -737,27 +752,95 @@ def test_pipeline_end_to_end(tmp_path):
 
 @pytest.mark.parametrize(
     "raw, message",
-    [
-        ({"excitation": {"kind": "constant", "amplitudes": [1.0]}}, "cannot be separated"),
-        (
-            {"excitation": {"kind": "constant", "amplitudes": [1.0]},
-             "regression": {"constraint_mode": "none"}},
-            "cannot be separated",
-        ),
-        ({"excitation": {"kind": "zero"}}, "identically zero"),
-        ({"excitation": {"kind": "sine_sum", "amplitudes": [0, 0, 0]}}, "identically zero"),
-    ],
-    ids=["constant", "constant-unconstrained", "zero", "zero-amplitudes"],
+    [({"excitation": {"kind": "sine_sum", "amplitudes": [0, 0, 0]}}, "identically zero")],
+    ids=["zero-amplitudes"],
 )
 def test_pipeline_constant_excitation_fails_identification(tmp_path, capsys, raw, message):
-    # a constant u = 1 used to exit 0 with f and g split at will (dx2/dt with
-    # eight terms, half of them times u); a zero one failed later, at lie
+    # a zero input used to fail later, at lie
     cfg = write_config(tmp_path, raw)
     out = tmp_path / "run"
     assert run(["pipeline", "--config", cfg, "--out", out]) == EXIT_IDENTIFICATION
     err = capsys.readouterr().err
     assert message in err and "warning" not in err
     assert (out / "dataset.csv").exists() and not (out / "model.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["coefficients", "none"])
+def test_identify_constant_input_fails_with_code_three(tmp_path, dataset_path, capsys, mode):
+    # u = 1 used to exit 0 with f and g split at will (dx2/dt with eight
+    # terms, half of them times u); no excitation kind gives a constant u,
+    # but a dataset can
+    rows = list(csv.reader(dataset_path.read_text().splitlines()))
+    k = rows[0].index("u")
+    for row in rows[1:]:
+        row[k] = "1.0"
+    data = tmp_path / "constant.csv"
+    data.write_text("\n".join(",".join(row) for row in rows) + "\n", encoding="utf-8")
+    cfg = write_config(tmp_path, {"regression": {"constraint_mode": mode}})
+    out = tmp_path / "run"
+    assert run(["identify", "--data", data, "--config", cfg, "--out", out]) == EXIT_IDENTIFICATION
+    assert "cannot be separated" in capsys.readouterr().err
+    assert not (out / "model.json").exists()
+
+
+def test_identify_relative_degree_one_fails_on_the_demo(tmp_path, dataset_path, capsys):
+    # r = 1 constrains no level, but the model must still certify it: the
+    # demo model certifies 2. It used to exit 0, as if the constraint were off
+    cfg = write_config(tmp_path, {"regression": {"relative_degree": 1}})
+    out = tmp_path / "run"
+    code = run(["identify", "--data", dataset_path, "--config", cfg, "--out", out])
+    assert code == EXIT_IDENTIFICATION
+    err = capsys.readouterr().err
+    assert "certifies relative degree 2, not 1 (y = x1)" in err
+    assert stderr_checks(err)["relative_degree"] == [2, 1]
+    assert stderr_checks(err)["alternation_change"] == [None, None]
+    assert "'constraint_residual': None" in err
+    assert not (out / "model.json").exists()
+
+
+CHAIN3 = {
+    "system": {"name": "chain3"},
+    "simulation": {"x0": [0.5, 0.0, 0.0], "dt": 0.01, "steps": 299},
+    "library": {"poly_order": 2},
+    "controller": {"gains": None, "poles": [-1.0, -2.0, -3.0]},
+    "stabilization": {"x0": [0.5, 0.0, 0.0]},
+    "tracking": {"x0": [0.5, 0.0, 0.0]},
+}
+
+
+def test_chain3_pipeline_requests_the_state_dimension_by_default(tmp_path):
+    # relative_degree used to default to 2, so this config identified the
+    # exact chain3 model and then exited 3 ("certifies relative degree 3, not 2")
+    default, explicit = tmp_path / "default", tmp_path / "explicit"
+    cfg = write_config(tmp_path, CHAIN3)
+    assert run(["pipeline", "--config", cfg, "--out", default]) == EXIT_OK
+    cfg = write_config(tmp_path, {**CHAIN3, "regression": {"relative_degree": 3}}, "r3.json")
+    assert run(["pipeline", "--config", cfg, "--out", explicit]) == EXIT_OK
+    names = sorted(p.name for p in default.iterdir())
+    assert len(names) == 12 and names == sorted(p.name for p in explicit.iterdir())
+    for name in names:
+        assert (default / name).read_bytes() == (explicit / name).read_bytes(), name
+    assert json.loads((default / "summary.json").read_text())["relative_degree"] == 3
+
+
+@pytest.mark.parametrize("mode", ["coefficients", "none"])
+def test_pipeline_certifies_the_model_once(tmp_path, monkeypatch, mode):
+    # solve certifies the model and hands its chain on; only a model solved
+    # with the constraint off is certified by the lie stage
+    import sparsefl.lie
+    import sparsefl.regression
+
+    calls = []
+
+    def counted(system, certify=sparsefl.lie.relative_degree):
+        calls.append(system.n)
+        return certify(system)
+
+    monkeypatch.setattr(sparsefl.lie, "relative_degree", counted)
+    monkeypatch.setattr(sparsefl.regression, "relative_degree", counted)
+    cfg = write_config(tmp_path, {"regression": {"constraint_mode": mode}})
+    assert run(["pipeline", "--config", cfg, "--out", tmp_path / "run"]) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_summary_error_includes_the_output_map(vdp_model, vdp_chain, vdp_dataset):

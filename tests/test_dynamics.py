@@ -12,12 +12,10 @@ from sparsefl.dynamics import (
     ControlAffineSystem,
     DivergenceError,
     chain_integrator_system,
-    constant_input,
     integrate,
     simulate_closed_loop,
     sine_sum_input,
     vdp_system,
-    zero_input,
 )
 from sparsefl.lie import relative_degree
 from sparsefl.symexpr import Expression, parse_expression
@@ -75,7 +73,7 @@ def test_chain_integrator():
 
 
 def test_rk4_matches_exponential_decay():
-    d = integrate(decay_system(), [1.0], zero_input(), 0.01, 100)
+    d = integrate(decay_system(), [1.0], lambda t, x: 0.0, 0.01, 100)
     assert d.m == 101
     assert d.times[-1] == pytest.approx(1.0)
     assert abs(d.X[-1, 0] - math.exp(-1.0)) <= 1e-6
@@ -83,7 +81,7 @@ def test_rk4_matches_exponential_decay():
 
 def test_rk4_fourth_order_convergence():
     def err(dt, steps):
-        d = integrate(decay_system(), [1.0], zero_input(), dt, steps)
+        d = integrate(decay_system(), [1.0], lambda t, x: 0.0, dt, steps)
         return abs(d.X[-1, 0] - math.exp(-1.0))
 
     ratio = err(0.01, 100) / err(0.005, 200)
@@ -92,18 +90,18 @@ def test_rk4_fourth_order_convergence():
 
 def test_integrate_rejects_bad_steps():
     with pytest.raises(ValueError, match="steps"):
-        integrate(decay_system(), [1.0], zero_input(), 0.01, 0)
+        integrate(decay_system(), [1.0], lambda t, x: 0.0, 0.01, 0)
     with pytest.raises(ValueError, match="steps"):
-        integrate(decay_system(), [1.0], zero_input(), 0.01, 1)
+        integrate(decay_system(), [1.0], lambda t, x: 0.0, 0.01, 1)
     with pytest.raises(ValueError, match="dt"):
-        integrate(decay_system(), [1.0], zero_input(), -0.01, 10)
+        integrate(decay_system(), [1.0], lambda t, x: 0.0, -0.01, 10)
 
 
 @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0], ids=["nan", "inf", "zero"])
 def test_bad_dt_is_value_error_not_divergence(dt):
     # a NaN step passed `dt <= 0` and came back as a divergence at step 0
     with pytest.raises(ValueError, match="dt must be positive"):
-        integrate(decay_system(), [1.0], zero_input(), dt, 10)
+        integrate(decay_system(), [1.0], lambda t, x: 0.0, dt, 10)
     with pytest.raises(ValueError, match="dt must be positive"):
         simulate_closed_loop(
             vdp_system(1, 1, 1), _ZeroController(), zero_reference(), [2.0, 0.0], dt, 10
@@ -114,12 +112,12 @@ def test_bad_dt_is_value_error_not_divergence(dt):
 def test_x0_entries_must_be_finite_numbers(x0):
     # numpy read the strings and the bool as numbers; a NaN came back as a divergence
     with pytest.raises(ValueError, match="x0 must be a finite number"):
-        integrate(vdp_system(1, 1, 1), x0, zero_input(), 0.01, 10)
+        integrate(vdp_system(1, 1, 1), x0, lambda t, x: 0.0, 0.01, 10)
 
 
 def test_vdp_limit_cycle_stays_bounded():
     # frozen reference values from a dt=1e-4 integration over 30 s
-    d = integrate(vdp_system(1, 1, 1), [2.0, 0.0], zero_input(), 0.01, 3000)
+    d = integrate(vdp_system(1, 1, 1), [2.0, 0.0], lambda t, x: 0.0, 0.01, 3000)
     norms = np.linalg.norm(d.X, axis=1)
     assert np.max(norms) <= 5.0
     assert d.X[-1] == pytest.approx([1.4627327, 3.15400118], abs=1e-4)
@@ -127,7 +125,7 @@ def test_vdp_limit_cycle_stays_bounded():
 
 def test_recorded_xdot_is_exact_rhs():
     sys = vdp_system(1, 1, 1)
-    u = constant_input(0.5)
+    u = lambda t, x: 0.5
     d = integrate(sys, [1.0, -1.0], u, 0.01, 10)
     for i in range(d.m):
         assert np.array_equal(d.Xdot[i], sys.rhs(d.X[i], d.U[i]))
@@ -143,7 +141,7 @@ def test_divergence_error_names_step():
         n=1,
     )
     with pytest.raises(DivergenceError, match="step"):
-        integrate(blow_up, [1.0], zero_input(), 0.01, 200)
+        integrate(blow_up, [1.0], lambda t, x: 0.0, 0.01, 200)
 
 
 # -- closed loop -------------------------------------------------------------------------
@@ -159,7 +157,7 @@ class _ZeroController:
 def test_zero_law_reduces_to_open_loop():
     sys = vdp_system(1, 1, 1)
     a = simulate_closed_loop(sys, _ZeroController(), zero_reference(), [2.0, 0.0], 0.01, 50)
-    b = integrate(sys, [2.0, 0.0], zero_input(), 0.01, 50)
+    b = integrate(sys, [2.0, 0.0], lambda t, x: 0.0, 0.01, 50)
     assert np.array_equal(a.X, b.X)
     assert np.array_equal(a.U, b.U)
 

@@ -244,6 +244,7 @@ def test_threshold_rejects_bad_lambda(lam):
         ("max_alt_iters", 0),
         ("relative_degree", 0),
         ("relative_degree", True),
+        ("relative_degree", 1.5),
         ("max_alt_iters", 2.5),
         ("lam", "0.05"),
         ("coef_tol", False),
@@ -266,7 +267,7 @@ def test_regression_config_fields():
 
 def test_regression_config_accepts_numpy_scalars():
     cfg = RegressionConfig(lam=np.float64(0.05), relative_degree=np.int64(2))
-    assert cfg == RegressionConfig()
+    assert cfg == RegressionConfig(relative_degree=2)
     assert type(cfg.lam) is float and type(cfg.relative_degree) is int
 
 
@@ -818,6 +819,10 @@ def test_constant_output_raises(vdp_data):
     d = Dataset(vdp_data.times, vdp_data.X, vdp_data.U, np.ones(vdp_data.m), Xdot=vdp_data.Xdot)
     ds = build_dictionaries(LibrarySpec(), d)
     free = solve(ds, d, RegressionConfig(constraint_mode="none"))
+    # skipped with the constraint off, failed with it on
+    assert free.chain is None and free.diagnostics.constraint_residual is None
+    assert free.diagnostics.checks["alternation_change"] == [None, None]
+    assert free.diagnostics.checks["relative_degree"] == [None, None]
     with pytest.raises(RegressionError, match=r"relative degree None, not 2 \(y = 1\)") as err:
         solve(ds, d, RegressionConfig())
     diagnostics = err.value.diagnostics
