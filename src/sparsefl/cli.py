@@ -405,6 +405,9 @@ def cmd_closedloop(
 
 
 def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> dict:
+    r, n = cfg.regression.relative_degree, cfg.system.n
+    if r not in (None, n):  # synthesize needs r = n: fail before simulate writes
+        raise ConfigError(f"pipeline needs regression.relative_degree null or n = {n}, got {r}")
     true_traj = cmd_simulate(cfg, out_dir)
     model = cmd_identify(true_traj, cfg, out_dir)
     identified = model.system()

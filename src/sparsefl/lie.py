@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .dynamics import ControlAffineSystem
-from .symexpr import Expression
+from .symexpr import Expression, _sum
 
 __all__ = [
     "LieChain",
@@ -30,10 +30,12 @@ class RelativeDegreeError(ValueError):
 
 def lie_derivative(e: Expression, field: Sequence[Expression]) -> Expression:
     """Directional derivative of ``e`` along the vector field ``field``."""
-    if e.n_states != len(field):
-        raise ValueError(f"dimension mismatch: {e.n_states} vs {len(field)} states")
-    products = [e.partial(i) * component for i, component in enumerate(field)]
-    return Expression(tuple(t for product in products for t in product.terms), len(field))
+    n = len(field)
+    if e.n_states != n:
+        raise ValueError(f"dimension mismatch: {e.n_states} vs {n} states")
+    # a zero component adds no terms; one of the wrong dimension still raises in ``*``
+    products = [e.partial(i) * c for i, c in enumerate(field) if c.terms or c.n_states != n]
+    return _sum(products, n)
 
 
 @dataclass(frozen=True)

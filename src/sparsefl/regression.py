@@ -37,7 +37,7 @@ from .data import Dataset
 from .dictionary import DictionarySet, check_fields, integer
 from .dynamics import ControlAffineSystem
 from .lie import LieChain, lie_derivative, relative_degree
-from .symexpr import Expression, format_expression, format_terms, parse_expression
+from .symexpr import Expression, _sum, format_expression, format_terms, parse_expression
 
 __all__ = [
     "RegressionConfig",
@@ -322,8 +322,7 @@ def _stls(
 
 def _combine(coeffs: np.ndarray, entries, n_states: int) -> Expression:
     """sum_b coeffs[b] * entries[b] over the nonzero coefficients, in entry order."""
-    products = [float(w) * entry for w, entry in zip(coeffs, entries) if w != 0.0]
-    return Expression(tuple(t for product in products for t in product.terms), n_states)
+    return _sum((w * entry for w, entry in zip(coeffs.tolist(), entries) if w != 0.0), n_states)
 
 
 def _field(ds: DictionarySet, xi: np.ndarray) -> tuple[Expression, ...]:
@@ -440,7 +439,8 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     The coefficients live in one (p_x + p_u) x n array W whose column l is
     [xi_tilde_l; xi_hat_l]. Output and state coefficients are initialized by
     unconstrained sequential thresholded least squares. The requested r is
-    ``cfg.relative_degree``, or the data's n when that is None. Unless
+    ``cfg.relative_degree``, or the data's n when that is None; an r above n
+    raises :class:`RegressionError` before any sweep, in either mode. Unless
     ``cfg.constraint_mode`` is ``"none"``, the one setting that skips the
     constraint and the certification, r >= 2 then alternates constrained
     steps (each linear in its block) until no coefficient moves by
@@ -461,13 +461,10 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     if d.Xdot is None:
         raise RegressionError("dataset has no derivatives; estimate or measure Xdot first")
     r = d.n if cfg.relative_degree is None else cfg.relative_degree
+    if r > d.n:  # before any STLS, whatever the constraint mode
+        raise RegressionError(f"relative_degree {r} exceeds the state dimension {d.n}")
     certify = cfg.constraint_mode != "none"
-    gc = None
-    if certify and r >= 2:
-        try:  # before any STLS: a relative degree above n fails fast
-            gc = GeneralConstraint(ds, r)
-        except ValueError as exc:
-            raise RegressionError(str(exc)) from None
+    gc = GeneralConstraint(ds, r) if certify and r >= 2 else None
     u = float(d.U[0])
     if (u != 0.0 or certify) and d.U.min() == d.U.max():
         why = (

@@ -14,7 +14,11 @@ derivatives, without pulling in a general-purpose CAS.
 Expressions are immutable and canonical: like terms are merged, terms with
 coefficient exactly zero are dropped, and the remaining terms are sorted by
 a fixed graded-lexicographic order. Printing and evaluation are therefore
-deterministic. Equality is structural: two canonical expressions compare
+deterministic. Like terms merge in input order (a sum of exactly 0.0
+deletes the term; a later like term starts afresh), and only then are the
+survivors sorted, on a key computed once per term: the sums of a stable
+sort then a merge, bit for bit. A derived term is checked only for a finite
+coefficient. Equality is structural: two canonical expressions compare
 equal iff they have identical term lists, which is not function equality.
 Trig identities are not applied, so ``sin(x1)^2 + cos(x1)^2 - 1`` is not
 reported as zero by :meth:`Expression.is_zero`.
@@ -37,6 +41,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import repeat
+from operator import add, neg
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -99,8 +104,8 @@ class Term:
         # (x1^2 before x1*x2 before x2^2), then trig.
         return (
             sum(self.monomial),
-            tuple(-e for e in self.monomial),
-            tuple(_atom_sort_key(a) for a in self.trig_atoms),
+            tuple(map(neg, self.monomial)),
+            tuple(map(_atom_sort_key, self.trig_atoms)),
         )
 
     def evaluate(self, x: Sequence[float]) -> float:
@@ -116,24 +121,52 @@ class Term:
         return value
 
 
-def _canonical_terms(terms: Iterable[Term], n_states: int) -> tuple[Term, ...]:
+_new, _set = object.__new__, object.__setattr__
+
+
+def _term(coefficient: float, monomial: tuple[int, ...], trig_atoms: tuple[TrigAtom, ...]) -> Term:
+    """A term derived from valid terms: of Term's checks, only finiteness."""
+    if not math.isfinite(coefficient):
+        raise ValueError(f"non-finite term coefficient {coefficient!r}")
+    if len(trig_atoms) > 1:  # a product or a derivative may leave them out of order
+        trig_atoms = tuple(sorted(trig_atoms, key=_atom_sort_key))
+    t = _new(Term)  # not via __dict__: that slows every attribute read after it
+    _set(t, "coefficient", coefficient)
+    _set(t, "monomial", monomial)
+    _set(t, "trig_atoms", trig_atoms)
+    return t
+
+
+def _canonical_terms(terms: Sequence[Term]) -> tuple[Term, ...]:
+    """Merge like terms in input order, drop exact zeros, then sort the survivors."""
+    if len(terms) < 2:  # nothing to merge or sort
+        return () if not terms or terms[0].coefficient == 0.0 else (terms[0],)
     merged: dict[tuple, Term] = {}
-    for t in sorted(terms, key=lambda t: t.sort_key):
-        if len(t.monomial) != n_states:
-            raise ValueError(
-                f"term has {len(t.monomial)} exponents, expected {n_states}"
-            )
-        sig = t.signature
+    for t in terms:
+        sig = (t.monomial, t.trig_atoms)
         if sig in merged:
             c = merged[sig].coefficient + t.coefficient
             if c == 0.0:
                 del merged[sig]
             else:
-                merged[sig] = Term(c, t.monomial, t.trig_atoms)
+                merged[sig] = _term(c, t.monomial, t.trig_atoms)
         elif t.coefficient != 0.0:
             merged[sig] = t
-    # like terms share a sort key, so the merged terms are already in order
-    return tuple(merged.values())
+    # the key determines the signature, so no two survivors tie
+    return tuple(sorted(merged.values(), key=Term.sort_key.fget))
+
+
+def _expression(terms: tuple[Term, ...], n_states: int) -> "Expression":
+    """An expression whose terms are already canonical."""
+    e = _new(Expression)
+    _set(e, "terms", terms)
+    _set(e, "n_states", n_states)
+    return e
+
+
+def _sum(exprs: Iterable["Expression"], n_states: int) -> "Expression":
+    """The sum of expressions over ``n_states`` states: their terms merged in order."""
+    return _expression(_canonical_terms([t for e in exprs for t in e.terms]), n_states)
 
 
 @dataclass(frozen=True)
@@ -144,7 +177,11 @@ class Expression:
     n_states: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", _canonical_terms(self.terms, self.n_states))
+        terms = tuple(self.terms)
+        for t in terms:
+            if len(t.monomial) != self.n_states:
+                raise ValueError(f"term has {len(t.monomial)} exponents, expected {self.n_states}")
+        object.__setattr__(self, "terms", _canonical_terms(terms))
 
     # -- constructors -------------------------------------------------------
 
@@ -211,11 +248,11 @@ class Expression:
         if not isinstance(other, Expression):
             return NotImplemented
         self._check_dim(other)
-        return Expression(self.terms + other.terms, self.n_states)
+        return _expression(_canonical_terms(self.terms + other.terms), self.n_states)
 
     def __neg__(self) -> "Expression":
-        return Expression(
-            tuple(Term(-t.coefficient, t.monomial, t.trig_atoms) for t in self.terms),
+        return _expression(
+            tuple(_term(-t.coefficient, t.monomial, t.trig_atoms) for t in self.terms),
             self.n_states,
         )
 
@@ -227,22 +264,22 @@ class Expression:
     def __mul__(self, other):
         if isinstance(other, Expression):
             self._check_dim(other)
-            out = []
-            for a in self.terms:
-                for b in other.terms:
-                    out.append(
-                        Term(
-                            a.coefficient * b.coefficient,
-                            tuple(p + q for p, q in zip(a.monomial, b.monomial)),
-                            a.trig_atoms + b.trig_atoms,
-                        )
-                    )
-            return Expression(tuple(out), self.n_states)
+            if not (self.terms and other.terms):
+                return _expression((), self.n_states)
+            out = [
+                _term(
+                    a.coefficient * b.coefficient,
+                    tuple(map(add, a.monomial, b.monomial)),
+                    a.trig_atoms + b.trig_atoms,
+                )
+                for a in self.terms
+                for b in other.terms
+            ]
+            return _expression(_canonical_terms(out), self.n_states)
         if isinstance(other, (int, float)):
-            return Expression(
-                tuple(Term(t.coefficient * other, t.monomial, t.trig_atoms) for t in self.terms),
-                self.n_states,
-            )
+            k = float(other)  # a numpy float64 would make the coefficients numpy floats
+            out = [_term(t.coefficient * k, t.monomial, t.trig_atoms) for t in self.terms]
+            return _expression(tuple(t for t in out if t.coefficient != 0.0), self.n_states)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -257,7 +294,7 @@ class Expression:
             if p:
                 lowered = list(t.monomial)
                 lowered[index] = p - 1
-                out.append(Term(t.coefficient * p, tuple(lowered), t.trig_atoms))
+                out.append(_term(t.coefficient * p, tuple(lowered), t.trig_atoms))
             for j, (kind, freq, var) in enumerate(t.trig_atoms):
                 if var != index:
                     continue
@@ -268,8 +305,8 @@ class Expression:
                 else:
                     new_atom = ("sin", freq, var)
                     factor = -float(freq)
-                out.append(Term(t.coefficient * factor, t.monomial, rest + (new_atom,)))
-        return Expression(tuple(out), self.n_states)
+                out.append(_term(t.coefficient * factor, t.monomial, rest + (new_atom,)))
+        return _expression(_canonical_terms(out), self.n_states)
 
     def evaluate(self, x: Sequence[float]) -> float:
         if len(x) != self.n_states:

@@ -808,6 +808,33 @@ CHAIN3 = {
 }
 
 
+@pytest.mark.parametrize("mode", ["coefficients", "none"])
+def test_identify_relative_degree_above_n_fails_in_both_modes(
+    tmp_path, dataset_path, capsys, mode
+):
+    # with the constraint off, r = 5 on the two-state demo used to exit 0
+    cfg = write_config(tmp_path, {"regression": {"relative_degree": 5, "constraint_mode": mode}})
+    out = tmp_path / "run"
+    code = run(["identify", "--data", dataset_path, "--config", cfg, "--out", out])
+    assert code == EXIT_IDENTIFICATION
+    assert capsys.readouterr().err == (
+        "identification failed: relative_degree 5 exceeds the state dimension 2\n"
+    )
+    assert not (out / "model.json").exists()
+
+
+def test_pipeline_relative_degree_below_n_is_a_config_error(tmp_path, capsys):
+    # it used to exit 3 at identify, after simulate had written dataset.csv;
+    # identify on its own still accepts r < n
+    cfg = write_config(tmp_path, {**CHAIN3, "regression": {"relative_degree": 2}})
+    out = tmp_path / "run"
+    assert run(["pipeline", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert err[0].endswith("regression.relative_degree null or n = 3, got 2")
+    assert not (out / "dataset.csv").exists()
+
+
 def test_chain3_pipeline_requests_the_state_dimension_by_default(tmp_path):
     # relative_degree used to default to 2, so this config identified the
     # exact chain3 model and then exited 3 ("certifies relative degree 3, not 2")

@@ -864,8 +864,9 @@ def test_every_returned_model_certifies_the_requested_degree(plant, wide, m, noi
     assert relative_degree(model.system()).relative_degree == r
 
 
+@pytest.mark.parametrize("mode", ["coefficients", "none"])
 @pytest.mark.parametrize("n, r", [(1, 2), (2, 3)])
-def test_relative_degree_above_state_dimension_fails_fast(monkeypatch, n, r):
+def test_relative_degree_above_state_dimension_fails_fast(monkeypatch, n, r, mode):
     import sparsefl.regression as regression
 
     def no_stls(*args, **kwargs):
@@ -875,7 +876,7 @@ def test_relative_degree_above_state_dimension_fails_fast(monkeypatch, n, r):
     ds = build_dictionaries(LibrarySpec(poly_order=1), d)
     monkeypatch.setattr(regression, "_stls", no_stls)
     with pytest.raises(RegressionError, match=f"relative_degree {r} exceeds the state dimension {n}"):
-        solve(ds, d, RegressionConfig(relative_degree=r))
+        solve(ds, d, RegressionConfig(relative_degree=r, constraint_mode=mode))
 
 
 def test_non_converged_error_carries_full_diagnostics(monkeypatch):
