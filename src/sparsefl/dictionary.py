@@ -13,10 +13,10 @@ Three paired libraries are built from a :class:`LibrarySpec`:
   forms its rows where it reads them, a block of rows at a time;
 * output library: powers ``1, x_k, x_k^2, ...`` of the observed state.
 
-The drift and output matrices are views into the one column-major array that
-:func:`sparsefl.symexpr.evaluate_columns` returns over all samples at once,
-which holds exactly what the symbolic entry's ``evaluate`` returns at each
-sample, so the symbolic and numeric views agree bit for bit.
+A :class:`DictionarySet` holds the entries only. :func:`_values` evaluates
+them inside the solve, with one :func:`sparsefl.symexpr.evaluate_columns` call
+whose column-major array holds exactly what each entry's ``evaluate`` returns
+at each sample, so the symbolic and numeric views agree bit for bit.
 """
 
 from __future__ import annotations
@@ -128,14 +128,12 @@ def _drift_entries(spec: LibrarySpec, n: int) -> list[Expression]:
 
 @dataclass(frozen=True)
 class DictionarySet:
-    """Library entries and their values on a Dataset, as views into one read-only array."""
+    """The symbolic library entries; :func:`_values` evaluates them on a Dataset."""
 
     spec: LibrarySpec
     n_states: int
     theta_f_entries: tuple[Expression, ...]
     phi_entries: tuple[Expression, ...]
-    theta_f: np.ndarray  # m x p_x, columns :p_x of the column-major m x (p_x + p_y) array
-    phi: np.ndarray  # m x p_y, the remaining columns
 
     @property
     def p_x(self) -> int:
@@ -176,11 +174,7 @@ def _overflow_error(label: str, d: Dataset) -> ValueError:
 
 
 def build_dictionaries(spec: LibrarySpec, d: Dataset) -> DictionarySet:
-    """Construct the drift/input/output libraries and evaluate them on ``d``.
-
-    An entry whose power, or whose product with u, overflows a float at
-    some sample raises :class:`ValueError` naming it.
-    """
+    """The drift/input/output library entries for ``d``'s states; :func:`_values` evaluates them."""
     n = d.n
     if spec.output_state_index >= n:
         raise ValueError(
@@ -200,30 +194,31 @@ def build_dictionaries(spec: LibrarySpec, d: Dataset) -> DictionarySet:
             "the regression is underdetermined",
             stacklevel=2,
         )
+    return DictionarySet(spec, n, tuple(f_entries), tuple(phi_entries))
 
-    entries = f_entries + phi_entries
+
+def _values(ds: DictionarySet, d: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The drift and output libraries on ``d``: views into one read-only column-major array.
+
+    An entry whose power, or whose product with u, overflows a float at
+    some sample raises :class:`ValueError` naming it.
+    """
+    entries = ds.theta_f_entries + ds.phi_entries
     try:  # one call, so the drift and output libraries share their atom columns
         values = evaluate_columns(entries, d.X)
     except OverflowError:
         raise _overflow_error(str(next(e for e in entries if _overflows(e, d.X))), d) from None
     values.setflags(write=False)
-    theta_f = values[:, :p_x]
+    theta_f = values[:, : ds.p_x]
     # rounding to nearest is monotone, so each |theta_ik * u_i| rounds to at most
     # fl(max|values| * max|u|): only when that bound is not finite (inf, or NaN
     # from an inf * 0 in evaluate_columns) can a product overflow
     with np.errstate(over="ignore"):
         bound = max(values.max(), -values.min()) * np.max(np.abs(d.U))
-    for k in range(0 if math.isfinite(bound) else p_x):
+    for k in range(0 if math.isfinite(bound) else ds.p_x):
         try:
             with np.errstate(over="raise"):
                 theta_f[:, k] * d.U
         except FloatingPointError:
-            raise _overflow_error(f"{f_entries[k]}*u", d) from None
-    return DictionarySet(
-        spec=spec,
-        n_states=n,
-        theta_f_entries=tuple(f_entries),
-        phi_entries=tuple(phi_entries),
-        theta_f=theta_f,
-        phi=values[:, p_x:],
-    )
+            raise _overflow_error(f"{ds.theta_f_entries[k]}*u", d) from None
+    return theta_f, values[:, ds.p_x :]

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from itertools import count
 
 import numpy as np
 
 from .data import Dataset
-from .dictionary import DictionarySet, check_fields, integer
+from .dictionary import DictionarySet, _values, check_fields, integer
 from .dynamics import ControlAffineSystem
 from .lie import LieChain, lie_derivative, relative_degree
 from .symexpr import Expression, _sum, format_expression, format_terms, parse_expression
@@ -222,8 +223,8 @@ def _factor(A: np.ndarray, Z: np.ndarray, u: np.ndarray | None = None) -> _Facto
 
     R is built 512 rows at a time, as the R of [R; next rows] written into
     one buffer, where :func:`_design_rows` forms the input columns A·u: no
-    m-row copy of the design exists. One QR of all m x (p + n) entries read
-    6.6 MB more ``peak_rss_mb`` in the benchmark at m = 5000, p + n = 60.
+    m-row copy of the design exists. A whole m x (p + n) copy would take
+    2.4 MB at m = 5000, p + n = 60, more than the 1.3 MB library there.
     The buffer is column-major, like the library, so a block's copy, product
     and ``+= 0.0`` run down contiguous columns; LAPACK reads the same values.
     With fewer than p + n rows, R has m rows. A non-finite R raises
@@ -330,11 +331,17 @@ def _field(ds: DictionarySet, xi: np.ndarray) -> tuple[Expression, ...]:
     return tuple(_combine(xi[:, l], ds.theta_f_entries, ds.n_states) for l in range(xi.shape[1]))
 
 
-def _reconstruct(
-    ds: DictionarySet, xi_tilde: np.ndarray, xi_hat: np.ndarray, zeta: np.ndarray
-) -> tuple[tuple[Expression, ...], tuple[Expression, ...], Expression]:
+@dataclass(eq=False)
+class _Fields:
+    """The drift f of ``xi_tilde`` and input channel g of ``xi_hat``, each built on first use."""
+
+    ds: DictionarySet
+    xi_tilde: np.ndarray
+    xi_hat: np.ndarray | None
+
+    f = cached_property(lambda self: _field(self.ds, self.xi_tilde))
     # input column k is drift entry k times u, so g combines the drift entries
-    return _field(ds, xi_tilde), _field(ds, xi_hat), _combine(zeta, ds.phi_entries, ds.n_states)
+    g = cached_property(lambda self: _field(self.ds, self.xi_hat))
 
 
 def _coefficient_rows(exprs: list[Expression]) -> np.ndarray:
@@ -372,15 +379,14 @@ class GeneralConstraint:
             raise ValueError(f"relative_degree {r} exceeds the state dimension {n}")
         self.ds, self.r = ds, r
 
-    def _levels(self, exprs, xi_tilde: np.ndarray) -> list[list[Expression]]:
-        """Lf^k of each expression, k = 0..r-2, along the drift of ``xi_tilde``."""
-        f = _field(self.ds, xi_tilde)
+    def _levels(self, exprs, fields: _Fields) -> list[list[Expression]]:
+        """Lf^k of each expression, k = 0..r-2, along ``fields.f``: at r = 2 f is not built."""
         levels = [list(exprs)]
         for _ in range(self.r - 2):
-            levels.append([lie_derivative(e, f) for e in levels[-1]])
+            levels.append([lie_derivative(e, fields.f) for e in levels[-1]])
         return levels
 
-    def state_rows(self, zeta: np.ndarray, xi_tilde: np.ndarray) -> tuple[list[int], np.ndarray]:
+    def state_rows(self, zeta: np.ndarray, fields: _Fields) -> tuple[list[int], np.ndarray]:
         """Constraint rows over the coupled states' [xi_tilde_j; xi_hat_j] blocks.
 
         A state j is coupled when some d_j(Lf^k c) is not zero. Returns the
@@ -390,7 +396,7 @@ class GeneralConstraint:
         """
         ds, n = self.ds, self.ds.n_states
         c = _combine(zeta, ds.phi_entries, n)
-        grads = [[e.partial(j) for j in range(n)] for [e] in self._levels([c], xi_tilde)]
+        grads = [[e.partial(j) for j in range(n)] for [e] in self._levels([c], fields)]
         coupled = [j for j in range(n) if any(not grad[j].is_zero() for grad in grads)]
         drift, theta = [Expression.zero(n)] * ds.p_x, ds.theta_f_entries
         return coupled, np.vstack([
@@ -398,9 +404,9 @@ class GeneralConstraint:
             for grad in grads
         ])
 
-    def zeta_rows(self, xi_tilde: np.ndarray, xi_hat: np.ndarray) -> np.ndarray:
+    def zeta_rows(self, fields: _Fields) -> np.ndarray:
         """Constraint rows over the output coefficients: column a of level k is Lg Lf^k phi_a."""
-        g, levels = _field(self.ds, xi_hat), self._levels(self.ds.phi_entries, xi_tilde)
+        levels, g = self._levels(self.ds.phi_entries, fields), fields.g
         return np.vstack([_coefficient_rows([lie_derivative(e, g) for e in lv]) for lv in levels])
 
 
@@ -436,6 +442,9 @@ def _checks(ds, d, r, W, zeta, change, chain, c) -> list[tuple]:
 def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     """Run the joint sparse regression and reconstruct the symbolic model.
 
+    The library is evaluated on ``d`` first, its overflow ValueError before any
+    other check, and dies with solve: the returned model keeps no m-row array.
+
     The coefficients live in one (p_x + p_u) x n array W whose column l is
     [xi_tilde_l; xi_hat_l]. Output and state coefficients are initialized by
     unconstrained sequential thresholded least squares. The requested r is
@@ -458,6 +467,7 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     the returned model keeps (None when nothing was certified). The first
     failing row of :func:`_checks` raises its error carrying that full record.
     """
+    theta_f, phi = _values(ds, d)
     if d.Xdot is None:
         raise RegressionError("dataset has no derivatives; estimate or measure Xdot first")
     r = d.n if cfg.relative_degree is None else cfg.relative_degree
@@ -479,7 +489,7 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     sweeps = 0
 
     # one QR per design serves every sweep of every state and step
-    theta_qr, phi_qr = _factor(ds.theta_f, d.Xdot, d.U), _factor(ds.phi, d.Y[:, None])
+    theta_qr, phi_qr = _factor(theta_f, d.Xdot, d.U), _factor(phi, d.Y[:, None])
 
     def stls(factor, z, constraint, what):
         nonlocal sweeps
@@ -501,17 +511,19 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
         states_stls(W_init, [l], None)
     W = W_init
     alt_iters, change = 0, None
+    fields = _Fields(ds, W[:p_x], W[p_x:])  # f and g of W, each built once, at first use
 
     if gc is not None:
         for alt_iters in range(1, ALT_STEPS + 1):
             W_prev, zeta_prev = W, zeta
             # state step: the coupled states jointly, chain frozen at the
             # current (zeta, xi_tilde); the others keep their initialization
-            states, C = gc.state_rows(zeta, W_prev[:p_x])
+            states, C = gc.state_rows(zeta, fields)
             W = W_init.copy()
             if states:
                 states_stls(W, states, C)
-            C = gc.zeta_rows(W[:p_x], W[p_x:])
+            fields = _Fields(ds, W[:p_x], W[p_x:])
+            C = gc.zeta_rows(fields)
             zeta = stls(phi_qr, d.Y, C, "the output equation")
             change = float(max(np.max(np.abs(W - W_prev)), np.max(np.abs(zeta - zeta_prev))))
             if change < ALT_TOL:
@@ -524,13 +536,13 @@ def solve(ds: DictionarySet, d: Dataset, cfg: RegressionConfig) -> SparseModel:
     if abs(pivot - 1.0) <= 1e-9:
         zeta = zeta / pivot
 
-    f, g, c = _reconstruct(ds, xi_tilde, xi_hat, zeta)
+    f, g, c = fields.f, fields.g, _combine(zeta, ds.phi_entries, ds.n_states)
     chain = relative_degree(ControlAffineSystem(f=f, g=g, c=c, n=n)) if certify else None
     checks = _checks(ds, d, r, W, zeta, change, chain, c)
     diagnostics = Diagnostics(
-        state_residuals=_state_residuals(ds.theta_f, d.U, W, d.Xdot),
+        state_residuals=_state_residuals(theta_f, d.U, W, d.Xdot),
         # phi is column-major: gemv on its row-major copy sums as it always has
-        output_residual=float(np.linalg.norm(np.ascontiguousarray(ds.phi) @ zeta - d.Y)),
+        output_residual=float(np.linalg.norm(np.ascontiguousarray(phi) @ zeta - d.Y)),
         constraint_residual=None if chain is None else max(
             (e.max_abs_coefficient() for e in chain.lg_mixed[: r - 1]), default=None
         ),

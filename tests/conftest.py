@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sparsefl.control import synthesize
-from sparsefl.dictionary import LibrarySpec, build_dictionaries
+from sparsefl.dictionary import LibrarySpec, _values, build_dictionaries
 from sparsefl.dynamics import ControlAffineSystem, integrate, sine_sum_input, vdp_system
 from sparsefl.lie import relative_degree
 from sparsefl.regression import RegressionConfig, _design_rows, solve
@@ -29,9 +29,9 @@ def weak_input_dataset(gain: float):
 
 
 def state_design(ds, d):
-    """The rows the regression factors, [theta_f | theta_f * u], formed by its own row helper."""
+    """The rows the regression factors, [theta_f | theta_f * u], formed by its own helpers."""
     out = np.empty((d.m, ds.p_x + ds.p_u))
-    _design_rows(ds.theta_f, d.U, out)
+    _design_rows(_values(ds, d)[0], d.U, out)
     return out
 
 

@@ -14,7 +14,7 @@ import pytest
 from conftest import default_excitation, make_random_expression, state_design
 from sparsefl.control import gains_from_poles, sinusoid_reference, synthesize, zero_reference
 from sparsefl.data import Dataset
-from sparsefl.dictionary import LibrarySpec, build_dictionaries
+from sparsefl.dictionary import LibrarySpec, _values, build_dictionaries
 from sparsefl.dynamics import (
     ControlAffineSystem,
     chain_integrator_system,
@@ -23,7 +23,7 @@ from sparsefl.dynamics import (
     vdp_system,
 )
 from sparsefl.lie import lie_derivative, relative_degree
-from sparsefl.regression import GeneralConstraint, RegressionConfig, solve
+from sparsefl.regression import GeneralConstraint, RegressionConfig, _Fields, solve
 from sparsefl.symexpr import Expression, parse_expression
 
 
@@ -200,7 +200,7 @@ def test_criterion_7_least_squares_oracle():
                 worst,
                 float(np.linalg.norm(got - oracle) / max(1.0, np.linalg.norm(oracle))),
             )
-        phi = np.asarray(ds.phi)
+        phi = _values(ds, d)[1]
         zeta_oracle = np.linalg.solve(phi.T @ phi, phi.T @ d.Y)
         worst = max(
             worst,
@@ -263,10 +263,10 @@ def test_criterion_8_symbolic_calculus():
             n=sys.n,
         )
         gc = GeneralConstraint(ds, r)
-        states, C = gc.state_rows(zeta, xi_tilde)
+        states, C = gc.state_rows(zeta, _Fields(ds, xi_tilde, xi_hat))
         W = np.vstack([xi_tilde, xi_hat])
         by_state = C @ np.concatenate([W[:, j] for j in states])
-        by_output = gc.zeta_rows(xi_tilde, xi_hat) @ zeta
+        by_output = gc.zeta_rows(_Fields(ds, xi_tilde, xi_hat)) @ zeta
         expected, lf_c = [], model.c
         for k in range(r - 1):
             expected += [t.coefficient for t in lie_derivative(lf_c, model.g).terms]

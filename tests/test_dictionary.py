@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import state_design
 from sparsefl.data import Dataset
-from sparsefl.dictionary import LibrarySpec, build_dictionaries
+from sparsefl.dictionary import LibrarySpec, _values, build_dictionaries
+from sparsefl.regression import RegressionConfig, solve
 from sparsefl.symexpr import evaluate_columns
 
 def dataset_from_states(X, U=None, seed=0):
@@ -68,7 +71,7 @@ def test_polynomial_block_prefix_property():
     small = build_dictionaries(LibrarySpec(poly_order=2), d)
     large = build_dictionaries(LibrarySpec(poly_order=3), d)
     assert large.labels_f()[: small.p_x] == small.labels_f()
-    assert np.array_equal(large.theta_f[:, : small.p_x], small.theta_f)
+    assert np.array_equal(_values(large, d)[0][:, : small.p_x], _values(small, d)[0])
 
 
 def test_cross_trig_products_available():
@@ -143,11 +146,12 @@ def test_matrices_match_symbolic_evaluation_exactly():
     # powers up to 5: vectorized np.power rounds differently from scalar **
     d = random_dataset(m=100, seed=3)
     ds = build_dictionaries(LibrarySpec(poly_order=5, trig_orders=(1, 2)), d)
+    theta_f, phi = _values(ds, d)
     for i in range(d.m):
         for j, e in enumerate(ds.theta_f_entries):
-            assert ds.theta_f[i, j] == e.evaluate(d.X[i])
+            assert theta_f[i, j] == e.evaluate(d.X[i])
         for j, e in enumerate(ds.phi_entries):
-            assert ds.phi[i, j] == e.evaluate(d.X[i])
+            assert phi[i, j] == e.evaluate(d.X[i])
     assert np.array_equal(state_design(ds, d)[:, ds.p_x :], input_library_oracle(ds, d))
 
 
@@ -166,31 +170,49 @@ def test_input_library_keeps_signed_zeros_positive():
     assert ds.p_u == ds.p_x and ds.labels_g()[:3] == ["u", "x1*u", "x2*u"]
 
 
-def test_drift_and_output_libraries_share_one_buffer():
+def test_drift_and_output_libraries_share_one_buffer(monkeypatch):
     # the input library is formed where the regression reads it, so the only
     # m-row array is evaluate_columns' m x (p_x + p_y) result, read-only;
-    # column-major, so a block of rows is read down contiguous columns
+    # column-major, so a block of rows is read down contiguous columns. The
+    # DictionarySet holds the entries only: solve evaluates them, once
     d = random_dataset(m=60)
+    calls = []
+    monkeypatch.setattr(
+        "sparsefl.dictionary.evaluate_columns",
+        lambda entries, X: calls.append(entries) or evaluate_columns(entries, X),
+    )
     ds = build_dictionaries(LibrarySpec(poly_order=3, trig_orders=(1,)), d)
-    buffer = ds.theta_f.base
-    assert ds.phi.base is buffer and buffer.base is None and buffer.flags.f_contiguous
-    assert np.shares_memory(buffer, ds.theta_f) and np.shares_memory(buffer, ds.phi)
+    assert calls == []
+    solve(ds, d.with_xdot(d.X * d.U[:, None]), RegressionConfig(constraint_mode="none"))
+    assert len(calls) == 1
+    theta_f, phi = _values(ds, d)
+    buffer = theta_f.base
+    assert phi.base is buffer and buffer.base is None and buffer.flags.f_contiguous
+    assert np.shares_memory(buffer, theta_f) and np.shares_memory(buffer, phi)
     assert buffer.nbytes == d.m * (ds.p_x + ds.p_y) * 8
-    assert not ds.theta_f.flags.writeable and not ds.phi.flags.writeable
+    assert not theta_f.flags.writeable and not phi.flags.writeable
+    assert not any(isinstance(getattr(ds, f.name), np.ndarray) for f in dataclasses.fields(ds))
+
+
+def overflow_in_solve(spec, d):
+    """Build the library on ``d`` and solve, expecting the overflow ValueError of _values."""
+    ds = build_dictionaries(spec, d)  # the entries only: nothing is evaluated yet
+    with pytest.raises(ValueError, match=r"library entry x1\*u overflows a float"):
+        solve(ds, d, RegressionConfig())
 
 
 def test_input_overflow_check_is_per_sample(monkeypatch):
     # max |x1| and max |u| fall on different samples: their product is inf,
-    # but no sample's x1 * u is, so the library builds and its input rows are
-    # the per-sample products; the same x1 and u on one sample overflow
+    # but no sample's x1 * u is, so the library evaluates and its input rows
+    # are the per-sample products; the same x1 and u on one sample overflow,
+    # which solve reports before it reads anything else of the data
     X = [[1.5e308, 0.5], [1.0, -1.0], [0.5, 1.0], [-1.0, 0.25], [2.0, 0.0], [0.25, 1.5]]
     U = [0.5, 4.0, -2.0, 1.0, -1.0, 3.0]
     spec = LibrarySpec(poly_order=1, output_poly_order=1)
     d = dataset_from_states(X, U=U)
     ds = build_dictionaries(spec, d)
     assert np.array_equal(state_design(ds, d)[:, ds.p_x :], input_library_oracle(ds, d))
-    with pytest.raises(ValueError, match=r"library entry x1\*u overflows a float"):
-        build_dictionaries(spec, dataset_from_states(X, U=[4.0] + U[1:]))
+    overflow_in_solve(spec, dataset_from_states(X, U=[4.0] + U[1:]))
 
     # an inf * 0 inside evaluate_columns leaves a NaN in the library, so the
     # bound is NaN rather than inf: the exact check must still run
@@ -200,8 +222,7 @@ def test_input_overflow_check_is_per_sample(monkeypatch):
         return values
 
     monkeypatch.setattr("sparsefl.dictionary.evaluate_columns", with_nan)
-    with pytest.raises(ValueError, match=r"library entry x1\*u overflows a float"):
-        build_dictionaries(spec, dataset_from_states(X, U=[4.0] + U[1:]))
+    overflow_in_solve(spec, dataset_from_states(X, U=[4.0] + U[1:]))
 
 
 def test_underdetermined_warning():

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from gc import collect as collect_garbage
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import default_excitation, state_design, weak_input_dataset
+from sparsefl import regression
 from sparsefl.data import Dataset, estimate_derivatives
-from sparsefl.dictionary import LibrarySpec, build_dictionaries
+from sparsefl.dictionary import LibrarySpec, _values, build_dictionaries
 from sparsefl.dynamics import ControlAffineSystem, chain_integrator_system, integrate, vdp_system
 from sparsefl.lie import relative_degree
 from sparsefl.regression import (
@@ -23,7 +25,8 @@ from sparsefl.regression import (
     InfeasibleSparsityError,
     RegressionConfig,
     RegressionError,
-    _reconstruct,
+    _combine,
+    _Fields,
     _state_residuals,
     coefficient_table,
     discovered_equations,
@@ -34,6 +37,15 @@ from sparsefl.regression import (
     threshold_pass,
 )
 from sparsefl.symexpr import Expression, evaluate_columns
+
+
+def state_rows(gc, zeta, xi_tilde):
+    """The state step's rows frozen at (zeta, xi_tilde): the step reads f, never g."""
+    return gc.state_rows(zeta, _Fields(gc.ds, xi_tilde, None))
+
+
+def zeta_rows(gc, xi_tilde, xi_hat):
+    return gc.zeta_rows(_Fields(gc.ds, xi_tilde, xi_hat))
 
 
 def random_dataset(m=20, n=2, seed=0, with_xdot=True):
@@ -80,7 +92,7 @@ def test_stacked_dimensions(vdp_dicts):
     # p_x + p_u = 20 columns per coupled state; y = x1 at r = 2 couples
     # state 1 alone, with one row per term of dc/dx1 * theta_b: ten rows
     xi_tilde, _, zeta = true_vdp_coefficients(vdp_dicts)
-    states, C = GeneralConstraint(vdp_dicts, 2).state_rows(zeta, xi_tilde)
+    states, C = state_rows(GeneralConstraint(vdp_dicts, 2), zeta, xi_tilde)
     assert states == [0]
     assert C.shape == (10, 20)
     # at r = 3 a dense random drift carries Lf c to every state: two levels
@@ -90,7 +102,7 @@ def test_stacked_dimensions(vdp_dicts):
     rng = np.random.default_rng(8)
     xi_tilde = rng.uniform(-1, 1, size=(ds.p_x, 3))
     zeta = rng.uniform(-1, 1, size=ds.p_y)
-    states, C = GeneralConstraint(ds, 3).state_rows(zeta, xi_tilde)
+    states, C = state_rows(GeneralConstraint(ds, 3), zeta, xi_tilde)
     assert states == [0, 1, 2]
     block = ds.p_x + ds.p_u
     assert C.shape[1] == 3 * block
@@ -106,7 +118,7 @@ def test_stacked_off_diagonal_blocks_are_zero():
     sys, d = chain3_data()
     ds = build_dictionaries(LibrarySpec(poly_order=2, output_poly_order=3), d)
     xi_tilde, _, zeta = true_chain3_coefficients(ds)
-    states, C = GeneralConstraint(ds, 3).state_rows(zeta, xi_tilde)
+    states, C = state_rows(GeneralConstraint(ds, 3), zeta, xi_tilde)
     assert states == [0, 1]
     p_x, p_u = ds.p_x, ds.p_u
     block = p_x + p_u
@@ -126,7 +138,7 @@ def test_true_coefficients_reproduce_targets(vdp_dicts, vdp_data):
     xi_tilde, xi_hat, zeta = true_vdp_coefficients(vdp_dicts)
     xdot = state_design(vdp_dicts, vdp_data) @ np.vstack([xi_tilde, xi_hat])
     assert np.max(np.abs(xdot - vdp_data.Xdot)) <= 1e-8
-    assert np.max(np.abs(vdp_dicts.phi @ zeta - vdp_data.Y)) <= 1e-8
+    assert np.max(np.abs(_values(vdp_dicts, vdp_data)[1] @ zeta - vdp_data.Y)) <= 1e-8
 
 
 # -- chain constraint rows -----------------------------------------------------------------
@@ -151,15 +163,15 @@ def test_constraint_single_sample_outer_product():
     xi_tilde = np.zeros((ds.p_x, 2))
     xi_hat = np.zeros((ds.p_u, 2))
     xi_hat[ds.labels_g().index("u"), 0] = 1.0
-    assert gc.zeta_rows(xi_tilde, xi_hat).tolist() == [[0.0, 1.0]]
-    states, C = gc.state_rows(np.array([0.0, 1.0]), xi_tilde)
+    assert zeta_rows(gc, xi_tilde, xi_hat).tolist() == [[0.0, 1.0]]
+    states, C = state_rows(gc, np.array([0.0, 1.0]), xi_tilde)
     assert states == [0]
     assert C.tolist() == [
         [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
         [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
     ]
-    states, C = gc.state_rows(np.array([1.0, 0.0]), xi_tilde)
+    states, C = state_rows(gc, np.array([1.0, 0.0]), xi_tilde)
     assert states == []
     assert C.shape == (0, 0)
 
@@ -289,7 +301,7 @@ def test_unconstrained_lambda_zero_equals_least_squares():
             expected = normal_equations(theta, d.Xdot[:, l])
             got = np.concatenate([model.xi_tilde[:, l], model.xi_hat[:, l]])
             assert np.linalg.norm(got - expected) <= 1e-8 * max(1.0, np.linalg.norm(expected))
-        zeta_expected = normal_equations(np.asarray(ds.phi), d.Y)
+        zeta_expected = normal_equations(_values(ds, d)[1], d.Y)
         assert np.linalg.norm(model.zeta - zeta_expected) <= 1e-8 * max(
             1.0, np.linalg.norm(zeta_expected)
         )
@@ -494,17 +506,26 @@ def test_design_beyond_the_float_range_raises():
         solve(ds, d, RegressionConfig(constraint_mode="none"))
 
 
-def test_solve_never_allocates_an_m_by_p_x_array():
-    # the state design [theta_f | theta_f * u] is formed 512 rows at a time,
-    # inside the QR and the residuals, so solve's traced peak stays below one
-    # m x p_x array even on the wide library at m = 5000
-    m = 5000
+WIDE_LIBRARY = LibrarySpec(poly_order=5, trig_orders=(1, 2))
+
+
+def wide_vdp_dataset(m):
+    """m random states of the Van der Pol plant and its exact derivatives."""
     rng = np.random.default_rng(5)
     X, U = rng.uniform(-2, 2, size=(m, 2)), rng.uniform(-2, 2, size=m)
     plant = vdp_system(1, 1, 1)
     Xdot = evaluate_columns(plant.f, X) + evaluate_columns(plant.g, X) * U[:, None]
-    d = Dataset(np.arange(m) * 0.01, X, U, X[:, 0], Xdot=Xdot)
-    ds = build_dictionaries(LibrarySpec(poly_order=5, trig_orders=(1, 2)), d)
+    return Dataset(np.arange(m) * 0.01, X, U, X[:, 0], Xdot=Xdot)
+
+
+def test_solve_never_allocates_an_m_by_p_x_array():
+    # the state design [theta_f | theta_f * u] is formed 512 rows at a time,
+    # inside the QR and the residuals, so on the wide library at m = 5000
+    # solve's traced peak beyond the m x (p_x + p_y) library it evaluates
+    # stays below one m x p_x array
+    m = 5000
+    d = wide_vdp_dataset(m)
+    ds = build_dictionaries(WIDE_LIBRARY, d)
     solve(ds, d, RegressionConfig())  # one-time costs (lazy imports) that do not grow with m
     tracemalloc.start()
     try:
@@ -512,8 +533,30 @@ def test_solve_never_allocates_an_m_by_p_x_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ds.p_x == 29 and peak < m * ds.p_x * 8
+    assert ds.p_x == 29 and peak < m * (ds.p_x + ds.p_y) * 8 + m * ds.p_x * 8
     assert model.diagnostics.active_counts["xi_hat"] == [0, 1]
+
+
+def test_identification_keeps_nothing_that_grows_with_m():
+    # the library is evaluated inside solve and dies with it: the returned
+    # dictionaries and model keep the entries and the coefficients, so what
+    # they hold alive is the same at m = 1000 and m = 8000 (8000 x 33 library
+    # values alone are 2.1 MB); the caller's Dataset is not counted
+    kept = []
+    for m in (1000, 8000):
+        d = wide_vdp_dataset(m)
+        solve(build_dictionaries(WIDE_LIBRARY, d), d, RegressionConfig())  # one-time costs
+        collect_garbage()
+        tracemalloc.start()
+        try:
+            ds = build_dictionaries(WIDE_LIBRARY, d)
+            model = solve(ds, d, RegressionConfig())
+            collect_garbage()
+            kept.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert model.dictionaries is ds and model.diagnostics.active_counts["xi_hat"] == [0, 1]
+    assert abs(kept[1] - kept[0]) < 16 * 1024, kept
 
 
 @pytest.mark.parametrize("m", [1025, 1537, 2049])
@@ -526,11 +569,11 @@ def test_state_residuals_match_one_product_of_the_whole_design(m):
     W = np.random.default_rng(m).uniform(-1, 1, size=(ds.p_x + ds.p_u, 2))
     theta = state_design(ds, d)
     d = d.with_xdot(np.column_stack([theta @ W[:, l] for l in range(2)]))
-    assert _state_residuals(ds.theta_f, d.U, W, d.Xdot) == (0.0, 0.0)
+    assert _state_residuals(_values(ds, d)[0], d.U, W, d.Xdot) == (0.0, 0.0)
 
 
 def test_output_residual_is_measured_on_row_major_rows():
-    # ds.phi is a column-major view, on which gemv sums each row in another
+    # phi is a column-major view, on which gemv sums each row in another
     # order: the residual stays that of the row-major product
     d = integrate(vdp_system(1, 1, 1), [2.0, 0.0], default_excitation(), 0.01, 699)
     x1 = d.X[:, 0]  # an output with three terms, so the products round
@@ -538,7 +581,7 @@ def test_output_residual_is_measured_on_row_major_rows():
     ds = build_dictionaries(LibrarySpec(), d)
     model = solve(ds, d, RegressionConfig())
     assert np.count_nonzero(model.zeta) == 3
-    rows = np.array(ds.phi, order="C")
+    rows = np.array(_values(ds, d)[1], order="C")
     assert model.diagnostics.output_residual == float(np.linalg.norm(rows @ model.zeta - d.Y))
 
 
@@ -636,8 +679,8 @@ def coefficient_matrix(exprs):
 
 def reconstructed_chain(ds, xi_tilde, xi_hat, zeta):
     """The Lie chain of the model that the coefficients reconstruct."""
-    f, g, c = _reconstruct(ds, xi_tilde, xi_hat, zeta)
-    return relative_degree(ControlAffineSystem(f=f, g=g, c=c, n=ds.n_states))
+    fields, c = _Fields(ds, xi_tilde, xi_hat), _combine(zeta, ds.phi_entries, ds.n_states)
+    return relative_degree(ControlAffineSystem(f=fields.f, g=fields.g, c=c, n=ds.n_states))
 
 
 def test_general_constraint_matches_bilinear_factors(vdp_dicts):
@@ -654,11 +697,11 @@ def test_general_constraint_matches_bilinear_factors(vdp_dicts):
     g1 = sum((float(w) * e for w, e in zip(xi_hat[:, 0], ds.theta_f_entries)), Expression.zero(2))
     dc = c.partial(0)
     gc = GeneralConstraint(ds, 2)
-    states, C = gc.state_rows(zeta, xi_tilde)
+    states, C = state_rows(gc, zeta, xi_tilde)
     assert states == [0]
     assert np.all(C[:, : ds.p_x] == 0.0)
     assert np.array_equal(C[:, ds.p_x :], coefficient_matrix([dc * e for e in ds.theta_f_entries]))
-    D = gc.zeta_rows(xi_tilde, xi_hat)
+    D = zeta_rows(gc, xi_tilde, xi_hat)
     assert np.array_equal(D, coefficient_matrix([e.partial(0) * g1 for e in ds.phi_entries]))
     lg_c = coefficient_matrix([reconstructed_chain(ds, xi_tilde, xi_hat, zeta).lg_mixed[0]])[:, 0]
     assert np.allclose(C[:, ds.p_x :] @ xi_hat[:, 0], lg_c, rtol=1e-12)
@@ -670,7 +713,7 @@ def test_general_constraint_true_vdp_residuals(vdp_dicts):
     # has Lg c = 0 exactly and certifies r = 2
     xi_tilde, xi_hat, zeta = true_vdp_coefficients(vdp_dicts)
     gc = GeneralConstraint(vdp_dicts, 2)
-    assert not np.any(gc.zeta_rows(xi_tilde, xi_hat) @ zeta)
+    assert not np.any(zeta_rows(gc, xi_tilde, xi_hat) @ zeta)
     chain = reconstructed_chain(vdp_dicts, xi_tilde, xi_hat, zeta)
     assert chain.relative_degree == 2
     assert chain.lg_mixed[0].max_abs_coefficient() == 0.0
@@ -760,10 +803,28 @@ def test_chain_integrator_r3_hand_residuals():
     sys, d = chain3_data()
     ds = build_dictionaries(LibrarySpec(poly_order=2, output_poly_order=3), d)
     xi_tilde, xi_hat, zeta = true_chain3_coefficients(ds)
-    assert not np.any(GeneralConstraint(ds, 3).zeta_rows(xi_tilde, xi_hat) @ zeta)
+    assert not np.any(zeta_rows(GeneralConstraint(ds, 3), xi_tilde, xi_hat) @ zeta)
     chain = reconstructed_chain(ds, xi_tilde, xi_hat, zeta)
     assert chain.relative_degree == 3
     assert max(e.max_abs_coefficient() for e in chain.lg_mixed[:2]) == 0.0
+
+
+@pytest.mark.parametrize("r, steps", [(2, 2), (3, 1)])
+def test_each_field_is_built_once_per_alternation_step(monkeypatch, r, steps):
+    # a step builds g of its coefficients, and f as well at r = 3, where Lf
+    # carries the chain to its second level; the next step and the model
+    # reuse them, so at r = 2 f is built once, for the model alone
+    built, field = [], regression._field
+    monkeypatch.setattr(regression, "_field", lambda ds, xi: built.append(xi) or field(ds, xi))
+    if r == 2:  # noisy derivatives take the vdp solve through two steps
+        d = integrate(vdp_system(1, 1, 1), [2.0, 0.0], default_excitation(), 0.01, 299)
+        noise = 1e-2 * np.random.default_rng(1).standard_normal(d.Xdot.shape)
+        d, spec = d.with_xdot(d.Xdot + noise), LibrarySpec()
+    else:
+        d, spec = chain3_data()[1], LibrarySpec(poly_order=2, output_poly_order=3)
+    model = solve(build_dictionaries(spec, d), d, RegressionConfig())
+    assert model.diagnostics.alt_iterations == steps
+    assert len(built) == (r - 1) * steps + 1
 
 
 def test_constraint_and_certification_share_one_zero():
@@ -784,7 +845,7 @@ def test_constraint_and_certification_share_one_zero():
     xi_hat[labels.index("sin(2*x2)"), 2] = -0.5
     zeta = np.zeros(ds.p_y)
     zeta[ds.labels_phi().index("x1")] = 1.0
-    rows = GeneralConstraint(ds, 3).zeta_rows(xi_tilde, xi_hat)
+    rows = zeta_rows(GeneralConstraint(ds, 3), xi_tilde, xi_hat)
     assert np.max(np.abs(rows @ zeta)) == 1.0
     chain = reconstructed_chain(ds, xi_tilde, xi_hat, zeta)
     assert chain.relative_degree == 2
